@@ -17,8 +17,9 @@ use crate::synod::{
 };
 use crate::{decide_body, vmap, DECIDE_HEADER};
 use shadowdb_eventml::process::HasherAdapter;
-use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
+use shadowdb_eventml::{cached_header, fxhash, Ctx, FxHashMap, Msg, Process, SendInstr, Value};
 use shadowdb_loe::Loc;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
@@ -349,6 +350,10 @@ pub struct HandReplica {
     slot_out: i64,
     proposals: BTreeMap<i64, Value>,
     decisions: BTreeMap<i64, Value>,
+    /// The slots of `decisions` by command hash, so the never-re-propose
+    /// check costs one lookup instead of a walk over every decision.
+    /// Derived from `decisions`, hence left out of the digest.
+    decided: FxHashMap<u64, Vec<i64>>,
 }
 
 impl HandReplica {
@@ -360,11 +365,20 @@ impl HandReplica {
             slot_out: 0,
             proposals: BTreeMap::new(),
             decisions: BTreeMap::new(),
+            decided: FxHashMap::default(),
         }
     }
 
+    /// Whether `cmd` was decided in some slot (hash lookup, then equality
+    /// against the colliding slots' commands).
+    fn is_decided(&self, cmd: &Value) -> bool {
+        self.decided
+            .get(&fxhash(cmd))
+            .is_some_and(|slots| slots.iter().any(|s| self.decisions.get(s) == Some(cmd)))
+    }
+
     fn propose(&mut self, cmd: &Value, outs: &mut Vec<SendInstr>) {
-        if self.decisions.values().any(|c| c == cmd) {
+        if self.is_decided(cmd) {
             return;
         }
         while self.proposals.contains_key(&self.slot_in)
@@ -396,9 +410,13 @@ impl Process for HandReplica {
             }
         } else if h == cached_header!(DECISION_HEADER) {
             let (slot, cmd) = msg.body.unpair();
-            self.decisions
-                .entry(slot.int())
-                .or_insert_with(|| cmd.clone());
+            if let Entry::Vacant(e) = self.decisions.entry(slot.int()) {
+                self.decided
+                    .entry(fxhash(cmd))
+                    .or_default()
+                    .push(slot.int());
+                e.insert(cmd.clone());
+            }
             while let Some(decided) = self.decisions.get(&self.slot_out).cloned() {
                 if let Some(ours) = self.proposals.remove(&self.slot_out) {
                     if ours != decided {
@@ -497,6 +515,30 @@ mod tests {
         let decisions = run(deployment(&cfg), inj, Loc::new(100));
         let slots: Vec<i64> = decisions.iter().map(|(s, _)| *s).collect();
         assert_eq!(slots, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn decided_commands_are_never_reproposed() {
+        let cfg = config();
+        let mut r = HandReplica::new(cfg.clone());
+        let ctx = Ctx::at(cfg.replicas[0]);
+        let decision = |slot: i64, cmd: Value| {
+            Msg::new(
+                cached_header!(DECISION_HEADER),
+                Value::pair(Value::Int(slot), cmd),
+            )
+        };
+        // Slots 0 and 1 decided, out of order, without our proposals.
+        r.step(&ctx, &decision(1, Value::str("b")));
+        r.step(&ctx, &decision(0, Value::str("a")));
+        for cmd in ["a", "b"] {
+            let out = r.step(&ctx, &request_msg(Value::str(cmd)));
+            assert!(out.is_empty(), "{cmd} was decided but re-proposed");
+        }
+        // A fresh command goes to the next free slot.
+        let out = r.step(&ctx, &request_msg(Value::str("c")));
+        assert_eq!(out.len(), cfg.leaders.len());
+        assert_eq!(out[0].msg.body.unpair().0, &Value::Int(2));
     }
 
     /// Wire compatibility: spec-generated acceptors under a hand-coded

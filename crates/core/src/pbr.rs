@@ -400,7 +400,7 @@ impl PbrReplica {
     /// a recovered replica would re-execute a retransmitted transaction
     /// it already answered), 2PC protocol state when sharded, and the row
     /// data. Reply-cache entries are sorted so the blob is deterministic.
-    fn durable_blob(&self, snapshot: &shadowdb_sqldb::Snapshot) -> Value {
+    fn durable_blob(&self, db_bytes: bytes::Bytes) -> Value {
         type ReplyEntry = (i64, bool, Vec<SqlValue>);
         let mut entries: Vec<(&Loc, &ReplyEntry)> = self.last_reply.iter().collect();
         entries.sort_by_key(|(l, _)| **l);
@@ -429,10 +429,7 @@ impl PbrReplica {
             Value::Int(self.executed),
             Value::pair(
                 self.config.to_value(),
-                Value::pair(
-                    replies,
-                    Value::pair(shard, Value::Bytes(snapshot.to_bytes())),
-                ),
+                Value::pair(replies, Value::pair(shard, Value::Bytes(db_bytes))),
             ),
         )
     }
@@ -624,12 +621,10 @@ impl PbrReplica {
             return;
         }
         if self.wal_index - self.wal_snap_at >= self.snapshot_every {
-            let snapshot = self.db.snapshot();
+            let (db_bytes, rows) = self.db.snapshot_bytes();
             let costs = self.db.profile().costs;
-            self.charge(Duration::from_micros(
-                costs.scan_row_us * snapshot.row_count() as u64,
-            ));
-            let blob = self.durable_blob(&snapshot);
+            self.charge(Duration::from_micros(costs.scan_row_us * rows as u64));
+            let blob = self.durable_blob(db_bytes);
             let idx = self.wal_index;
             let cost = self
                 .wal

@@ -372,7 +372,7 @@ impl SmrReplica {
     /// Serializes a durable snapshot: `next_seq`, `executed`, the
     /// per-client reply cache, 2PC protocol state when sharded, and the
     /// row data. Reply-cache entries are sorted for determinism.
-    fn durable_blob(&self, snapshot: &Snapshot) -> Value {
+    fn durable_blob(&self, db_bytes: bytes::Bytes) -> Value {
         type ReplyEntry = (i64, bool, Vec<SqlValue>);
         let mut entries: Vec<(&Loc, &ReplyEntry)> = self.last_reply.iter().collect();
         entries.sort_by_key(|(l, _)| **l);
@@ -401,10 +401,7 @@ impl SmrReplica {
             Value::Int(self.incoming.next_seq()),
             Value::pair(
                 Value::Int(self.executed),
-                Value::pair(
-                    replies,
-                    Value::pair(shard, Value::Bytes(snapshot.to_bytes())),
-                ),
+                Value::pair(replies, Value::pair(shard, Value::Bytes(db_bytes))),
             ),
         )
     }
@@ -462,11 +459,10 @@ impl SmrReplica {
         }
         let next = self.incoming.next_seq();
         if next - self.wal_snap_at >= self.snapshot_every {
-            let snapshot = self.db.snapshot();
+            let (db_bytes, rows) = self.db.snapshot_bytes();
             let costs = self.db.profile().costs;
-            self.step_cost +=
-                Duration::from_micros(costs.scan_row_us * snapshot.row_count() as u64);
-            let blob = self.durable_blob(&snapshot);
+            self.step_cost += Duration::from_micros(costs.scan_row_us * rows as u64);
+            let blob = self.durable_blob(db_bytes);
             let cost = self
                 .wal
                 .as_mut()

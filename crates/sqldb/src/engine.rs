@@ -2,34 +2,40 @@
 //! per-database statement/plan cache.
 //!
 //! Replicated execution re-runs a small set of statement *shapes*
-//! thousands of times. The engine therefore keeps a bounded cache keyed
-//! by exact SQL text, holding the parsed [`Statement`] and — for
-//! `SELECT`/`UPDATE`/`DELETE` — a resolved [`Plan`]: bound expressions,
-//! fixed column positions, and the chosen [`AccessPath`]. Plans depend
-//! only on the catalog (schemas and indexes), never on row data, so they
-//! are invalidated by a monotone *DDL epoch* bumped on `CREATE TABLE`,
-//! `CREATE INDEX`, `DROP TABLE`, snapshot restore, and rollback of DDL.
+//! thousands of times, each with its own ids and amounts spliced into the
+//! text. The engine therefore keeps a bounded cache keyed by shape: one
+//! scan ([`shape`]) turns the text into a key in which every literal is a
+//! typed placeholder, plus the literal values in order. The cache holds
+//! the shape's parsed [`Statement`] and — for `SELECT`/`UPDATE`/`DELETE`/
+//! `INSERT` — a resolved [`Plan`]: bound expressions with `Param` slots,
+//! fixed column positions, and the chosen [`AccessPath`] with its key
+//! parts still symbolic. Each execution binds its values into the slots.
+//! Plans depend only on the catalog (schemas and indexes), never on row
+//! data or bound values, so they are invalidated by a monotone *DDL
+//! epoch* bumped on `CREATE TABLE`, `CREATE INDEX`, `DROP TABLE`,
+//! snapshot restore, and rollback of DDL.
 
 use crate::expr::Expr;
 use crate::lock::{LockGranularity, LockManager, LockMode, Resource, TxnId};
 use crate::profile::EngineProfile;
 use crate::schema::TableSchema;
-use crate::snapshot::Snapshot;
-use crate::sql::{parse, Aggregate, Projection, Statement};
+use crate::snapshot::{durable_bytes, Snapshot};
+use crate::sql::{parse, parse_shape, shape, Aggregate, ExprAst, Projection, Statement};
 use crate::table::{AccessPath, RowId, Table};
 use crate::value::{Row, SqlValue};
 use crate::{Result, SqlError};
+use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How many distinct statement texts the plan cache holds.
+/// How many distinct statement shapes the plan cache holds.
 const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// A resolved execution plan: everything name resolution and binding
-/// produce for a statement, computed once per `(SQL text, DDL epoch)`.
+/// produce for a statement, computed once per `(shape, DDL epoch)`.
 struct Plan {
     /// The DDL epoch the plan was resolved under.
     epoch: u64,
@@ -40,13 +46,14 @@ enum PlanKind {
     Select(SelectPlan),
     Update(UpdatePlan),
     Delete(DeletePlan),
+    Insert(InsertPlan),
 }
 
 struct SelectPlan {
     table: String,
     schema: TableSchema,
     filter: Option<Expr>,
-    path: AccessPath,
+    path: AccessPath<Expr>,
     proj: ProjPlan,
     order_by: Option<(usize, bool)>,
     limit: Option<usize>,
@@ -66,14 +73,20 @@ struct UpdatePlan {
     schema: TableSchema,
     sets: Vec<(usize, Expr)>,
     filter: Option<Expr>,
-    path: AccessPath,
+    path: AccessPath<Expr>,
 }
 
 struct DeletePlan {
     table: String,
     schema: TableSchema,
     filter: Option<Expr>,
-    path: AccessPath,
+    path: AccessPath<Expr>,
+}
+
+struct InsertPlan {
+    table: String,
+    /// Rows of constant expressions (literals, parameters, arithmetic).
+    rows: Vec<Vec<Expr>>,
 }
 
 /// One cached statement: the parse always, the plan when resolvable.
@@ -83,18 +96,18 @@ struct CacheSlot {
     plan: Option<Arc<Plan>>,
 }
 
-/// Bounded statement/plan cache keyed by exact SQL text.
+/// Bounded statement/plan cache keyed by statement shape.
 #[derive(Default)]
-struct StmtCache {
+struct PlanCache {
     map: HashMap<String, CacheSlot>,
     tick: u64,
 }
 
-impl StmtCache {
-    fn lookup(&mut self, sql: &str, epoch: u64) -> Option<(Arc<Statement>, Option<Arc<Plan>>)> {
+impl PlanCache {
+    fn lookup(&mut self, key: &str, epoch: u64) -> Option<(Arc<Statement>, Option<Arc<Plan>>)> {
         self.tick += 1;
         let tick = self.tick;
-        let slot = self.map.get_mut(sql)?;
+        let slot = self.map.get_mut(key)?;
         slot.last_use = tick;
         // A plan from an older DDL epoch may carry stale column positions
         // or name a dropped index: hand back only the parse, and replan.
@@ -102,14 +115,8 @@ impl StmtCache {
         Some((slot.stmt.clone(), plan))
     }
 
-    fn attach_plan(&mut self, sql: &str, plan: Arc<Plan>) {
-        if let Some(slot) = self.map.get_mut(sql) {
-            slot.plan = Some(plan);
-        }
-    }
-
-    fn insert(&mut self, sql: &str, stmt: Arc<Statement>, plan: Option<Arc<Plan>>) {
-        if self.map.len() >= PLAN_CACHE_CAPACITY && !self.map.contains_key(sql) {
+    fn insert(&mut self, key: &str, stmt: Arc<Statement>, plan: Option<Arc<Plan>>) {
+        if self.map.len() >= PLAN_CACHE_CAPACITY && !self.map.contains_key(key) {
             // Evict the least-recently-used of a small sample, keeping the
             // miss path O(sample) instead of O(capacity).
             let victim = self
@@ -124,7 +131,7 @@ impl StmtCache {
         }
         self.tick += 1;
         self.map.insert(
-            sql.to_owned(),
+            key.to_owned(),
             CacheSlot {
                 last_use: self.tick,
                 stmt,
@@ -161,7 +168,7 @@ struct Inner {
     locks: LockManager,
     next_txn: AtomicU64,
     /// Statement/plan cache shared by every transaction on this database.
-    plans: Mutex<StmtCache>,
+    plans: Mutex<PlanCache>,
     /// Bumped by every catalog change; a [`Plan`] resolved under an older
     /// epoch is discarded at lookup.
     ddl_epoch: AtomicU64,
@@ -185,7 +192,7 @@ impl Database {
                 tables: RwLock::new(HashMap::new()),
                 locks: LockManager::new(),
                 next_txn: AtomicU64::new(1),
-                plans: Mutex::new(StmtCache::default()),
+                plans: Mutex::new(PlanCache::default()),
                 ddl_epoch: AtomicU64::new(0),
             }),
         }
@@ -306,37 +313,8 @@ impl Database {
     /// Fails on anything that is not a plain `SELECT` (DML, DDL,
     /// `SELECT … FOR UPDATE`) and on unknown tables/columns.
     pub fn execute_read_only(&self, sql: &str) -> Result<(ResultSet, Duration)> {
-        let epoch = self.inner.ddl_epoch.load(Ordering::Acquire);
-        let hit = self.inner.plans.lock().lookup(sql, epoch);
-        let plan = match hit {
-            Some((_, Some(plan))) => plan,
-            Some((stmt, None)) => {
-                let plan =
-                    Arc::new(resolve_plan_on(&self.inner, &stmt)?.ok_or_else(not_read_only)?);
-                self.inner.plans.lock().attach_plan(sql, plan.clone());
-                plan
-            }
-            None => {
-                let stmt = Arc::new(parse(sql)?);
-                match resolve_plan_on(&self.inner, &stmt) {
-                    Ok(Some(plan)) => {
-                        let plan = Arc::new(plan);
-                        self.inner
-                            .plans
-                            .lock()
-                            .insert(sql, stmt.clone(), Some(plan.clone()));
-                        plan
-                    }
-                    Ok(None) => {
-                        self.inner.plans.lock().insert(sql, stmt, None);
-                        return Err(not_read_only());
-                    }
-                    Err(e) => {
-                        self.inner.plans.lock().insert(sql, stmt, None);
-                        return Err(e);
-                    }
-                }
-            }
+        let (Prepared::Plan(plan), params) = prepare(&self.inner, sql)? else {
+            return Err(not_read_only());
         };
         let PlanKind::Select(p) = &plan.kind else {
             return Err(not_read_only());
@@ -345,7 +323,8 @@ impl Database {
             return Err(not_read_only());
         }
         let mut us = self.inner.profile.costs.per_statement_us;
-        let matched = matched_rows_on(&self.inner, &p.table, &p.filter, &p.path, &mut us)?;
+        let path = p.path.bind(&params)?;
+        let matched = matched_rows_on(&self.inner, &p.table, &p.filter, &path, &params, &mut us)?;
         let rs = project_select(p, matched)?;
         Ok((rs, Duration::from_micros(us)))
     }
@@ -359,6 +338,22 @@ impl Database {
         let mut names: Vec<&String> = tables.keys().collect();
         names.sort();
         Snapshot::from_tables(names.iter().map(|n| &tables[*n]))
+    }
+
+    /// The durable blob of [`Database::snapshot`] — the same bytes as
+    /// `self.snapshot().to_bytes()` — encoded straight from the tables
+    /// without copying a row, and the number of rows it holds. Same
+    /// quiescence contract as [`Database::snapshot`].
+    pub fn snapshot_bytes(&self) -> (Bytes, usize) {
+        let tables = self.inner.tables.read();
+        let mut names: Vec<&String> = tables.keys().collect();
+        names.sort();
+        let rows = names.iter().map(|n| tables[*n].len()).sum();
+        let blob = durable_bytes(names.iter().map(|n| {
+            let t = &tables[*n];
+            (t.schema(), t.iter().map(|(_, r)| r))
+        }));
+        (blob, rows)
     }
 
     /// Restores the database from a snapshot, replacing all contents.
@@ -415,8 +410,9 @@ impl Transaction {
     }
 
     /// Executes one statement, going through the database's
-    /// statement/plan cache: a repeated SQL text skips parsing, name
-    /// resolution, expression binding, and access-path selection.
+    /// statement/plan cache: a statement whose shape was seen before
+    /// skips parsing, name resolution, expression binding, and
+    /// access-path selection, and only binds its literal values.
     ///
     /// # Errors
     ///
@@ -426,7 +422,11 @@ impl Transaction {
         if self.finished {
             return Err(SqlError::TransactionClosed);
         }
-        let r = self.execute_cached(sql);
+        let r = match prepare(&self.db, sql) {
+            Ok((Prepared::Plan(plan), params)) => self.run_plan(&plan, &params),
+            Ok((Prepared::Ddl(stmt), _)) => self.dispatch(&stmt),
+            Err(e) => Err(e),
+        };
         if matches!(r, Err(SqlError::LockTimeout { .. })) {
             // Timeout aborts the transaction, like H2/MySQL.
             let _ = self.rollback_internal();
@@ -443,45 +443,6 @@ impl Transaction {
     pub fn execute_uncached(&mut self, sql: &str) -> Result<ResultSet> {
         let stmt = parse(sql)?;
         self.run(stmt)
-    }
-
-    fn execute_cached(&mut self, sql: &str) -> Result<ResultSet> {
-        let epoch = self.db.ddl_epoch.load(Ordering::Acquire);
-        let hit = self.db.plans.lock().lookup(sql, epoch);
-        match hit {
-            Some((_, Some(plan))) => self.run_plan(&plan),
-            Some((stmt, None)) => match self.resolve_plan(&stmt)? {
-                Some(plan) => {
-                    let plan = Arc::new(plan);
-                    self.db.plans.lock().attach_plan(sql, plan.clone());
-                    self.run_plan(&plan)
-                }
-                None => self.dispatch(&stmt),
-            },
-            None => {
-                let stmt = Arc::new(parse(sql)?);
-                match self.resolve_plan(&stmt) {
-                    Ok(Some(plan)) => {
-                        let plan = Arc::new(plan);
-                        self.db
-                            .plans
-                            .lock()
-                            .insert(sql, stmt.clone(), Some(plan.clone()));
-                        self.run_plan(&plan)
-                    }
-                    Ok(None) => {
-                        self.db.plans.lock().insert(sql, stmt.clone(), None);
-                        self.dispatch(&stmt)
-                    }
-                    Err(e) => {
-                        // Resolution failed (unknown table or column): keep
-                        // the parse — the object may exist next time.
-                        self.db.plans.lock().insert(sql, stmt, None);
-                        Err(e)
-                    }
-                }
-            }
-        }
     }
 
     /// Executes a `SELECT` and returns its rows (convenience alias).
@@ -646,6 +607,8 @@ impl Transaction {
         Ok(())
     }
 
+    /// Executes a statement without a cache: DDL directly, everything
+    /// else through a transient plan with no parameters to bind.
     fn dispatch(&mut self, stmt: &Statement) -> Result<ResultSet> {
         match stmt {
             Statement::CreateTable(schema) => self.create_table(schema.clone()),
@@ -655,27 +618,12 @@ impl Transaction {
                 columns,
             } => self.create_index(name, table, columns),
             Statement::DropTable { table } => self.drop_table(table),
-            Statement::Insert { table, rows } => self.insert(table, rows),
             _ => {
-                let plan = self
-                    .resolve_plan(stmt)?
-                    .expect("select/update/delete always resolve to a plan");
-                self.run_plan(&plan)
+                let plan = resolve_plan_on(&self.db, stmt)?
+                    .expect("select/update/delete/insert always resolve to a plan");
+                self.run_plan(&plan, &[])
             }
         }
-    }
-
-    /// Resolves a statement against the current catalog: binds
-    /// expressions, fixes column positions, and chooses the access path.
-    /// Returns `None` for statement kinds executed directly from the AST
-    /// (DDL, `INSERT`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown tables or columns, mirroring what execution of
-    /// the same statement would report.
-    fn resolve_plan(&self, stmt: &Statement) -> Result<Option<Plan>> {
-        resolve_plan_on(&self.db, stmt)
     }
 
     /// Collects the `(rid, row)` pairs a planned predicate matches,
@@ -685,26 +633,60 @@ impl Transaction {
         table: &str,
         filter: &Option<Expr>,
         path: &AccessPath,
+        params: &[SqlValue],
     ) -> Result<Vec<(RowId, Row)>> {
-        matched_rows_on(&self.db, table, filter, path, &mut self.virtual_us)
+        matched_rows_on(&self.db, table, filter, path, params, &mut self.virtual_us)
     }
 
-    fn run_select(&mut self, p: &SelectPlan) -> Result<ResultSet> {
+    fn run_select(&mut self, p: &SelectPlan, params: &[SqlValue]) -> Result<ResultSet> {
         let costs = self.db.profile.costs;
         self.charge(costs.per_statement_us);
+        let path = p.path.bind(params)?;
         if p.for_update {
             // FOR UPDATE takes exclusive locks up front, then re-reads
             // under the locks.
-            let rows = self.matched_rows(&p.table, &p.filter, &p.path)?;
+            let rows = self.matched_rows(&p.table, &p.filter, &path, params)?;
             for (_, row) in &rows {
                 self.lock_write(&p.table, &p.schema.key_of(row))?;
             }
         } else {
             self.lock_read(&p.table)?;
         }
-        let matched = self.matched_rows(&p.table, &p.filter, &p.path)?;
+        let matched = self.matched_rows(&p.table, &p.filter, &path, params)?;
         project_select(p, matched)
     }
+}
+
+/// What [`prepare`] hands back for one statement.
+enum Prepared {
+    /// A cached plan, to run with the statement's literal values bound.
+    Plan(Arc<Plan>),
+    /// DDL, executed directly from the statement.
+    Ddl(Arc<Statement>),
+}
+
+/// The one way into the plan cache, shared by [`Transaction::execute`]
+/// and [`Database::execute_read_only`]: splits `sql` into shape and
+/// literal values, and looks the shape up. On a miss it parses the shape
+/// and resolves its plan without holding the cache lock; the parse is
+/// kept even when resolution fails (the table may exist next time), and
+/// a parse error caches nothing.
+fn prepare(db: &Inner, sql: &str) -> Result<(Prepared, Vec<SqlValue>)> {
+    let (key, params) = shape(sql)?;
+    let epoch = db.ddl_epoch.load(Ordering::Acquire);
+    let hit = db.plans.lock().lookup(&key, epoch);
+    let stmt = match hit {
+        Some((_, Some(plan))) => return Ok((Prepared::Plan(plan), params)),
+        Some((stmt, None)) => stmt,
+        None => Arc::new(parse_shape(&key)?),
+    };
+    let resolved = resolve_plan_on(db, &stmt).map(|p| p.map(Arc::new));
+    let plan = resolved.as_ref().ok().and_then(Option::clone);
+    db.plans.lock().insert(&key, stmt.clone(), plan);
+    Ok(match resolved? {
+        Some(plan) => (Prepared::Plan(plan), params),
+        None => (Prepared::Ddl(stmt), params),
+    })
 }
 
 fn not_read_only() -> SqlError {
@@ -713,7 +695,12 @@ fn not_read_only() -> SqlError {
 
 /// Resolves a statement against the current catalog: binds expressions,
 /// fixes column positions, and chooses the access path. Returns `None`
-/// for statement kinds executed directly from the AST (DDL, `INSERT`).
+/// for DDL, which executes directly from the statement.
+///
+/// # Errors
+///
+/// Fails on unknown tables or columns, mirroring what execution of the
+/// same statement would report.
 fn resolve_plan_on(db: &Inner, stmt: &Statement) -> Result<Option<Plan>> {
     let epoch = db.ddl_epoch.load(Ordering::Acquire);
     let tables = db.tables.read();
@@ -795,7 +782,18 @@ fn resolve_plan_on(db: &Inner, stmt: &Statement) -> Result<Option<Plan>> {
                 path,
             })
         }
-        _ => return Ok(None),
+        // Inserts read no catalog state at plan time: the table is looked
+        // up per row, as before plans existed.
+        Statement::Insert { table, rows } => PlanKind::Insert(InsertPlan {
+            table: table.to_lowercase(),
+            rows: rows
+                .iter()
+                .map(|row| row.iter().map(ExprAst::bind_const).collect())
+                .collect::<Result<_>>()?,
+        }),
+        Statement::CreateTable(_) | Statement::CreateIndex { .. } | Statement::DropTable { .. } => {
+            return Ok(None)
+        }
     };
     Ok(Some(Plan { epoch, kind }))
 }
@@ -809,6 +807,7 @@ fn matched_rows_on(
     table: &str,
     filter: &Option<Expr>,
     path: &AccessPath,
+    params: &[SqlValue],
     virtual_us: &mut u64,
 ) -> Result<Vec<(RowId, Row)>> {
     let costs = db.profile.costs;
@@ -816,13 +815,12 @@ fn matched_rows_on(
     let t = tables
         .get(table)
         .ok_or_else(|| SqlError::Unknown(format!("table {table}")))?;
-    let candidates = t.candidates_via(path);
-    let indexed = candidates.len() < t.len() || t.is_empty();
+    let (candidates, indexed) = t.candidates_via(path);
     let mut out = Vec::new();
     for rid in candidates {
         if let Some(row) = t.get(rid) {
             let keep = match filter {
-                Some(f) => f.matches(row)?,
+                Some(f) => f.matches(row, params)?,
                 None => true,
             };
             if keep {
@@ -889,11 +887,12 @@ fn project_select(p: &SelectPlan, mut matched: Vec<(RowId, Row)>) -> Result<Resu
 }
 
 impl Transaction {
-    fn run_plan(&mut self, plan: &Plan) -> Result<ResultSet> {
+    fn run_plan(&mut self, plan: &Plan, params: &[SqlValue]) -> Result<ResultSet> {
         match &plan.kind {
-            PlanKind::Select(p) => self.run_select(p),
-            PlanKind::Update(p) => self.run_update(p),
-            PlanKind::Delete(p) => self.run_delete(p),
+            PlanKind::Select(p) => self.run_select(p, params),
+            PlanKind::Update(p) => self.run_update(p, params),
+            PlanKind::Delete(p) => self.run_delete(p, params),
+            PlanKind::Insert(p) => self.run_insert(p, params),
         }
     }
 
@@ -956,33 +955,30 @@ impl Transaction {
         Ok(ResultSet::default())
     }
 
-    fn insert(&mut self, table: &str, rows: &[Vec<crate::sql::ExprAst>]) -> Result<ResultSet> {
-        let table = table.to_lowercase();
+    fn run_insert(&mut self, p: &InsertPlan, params: &[SqlValue]) -> Result<ResultSet> {
+        let table = &p.table;
         let costs = self.db.profile.costs;
         self.charge(costs.per_statement_us);
         // Evaluate the constant rows first (no locks needed).
-        let mut values: Vec<Row> = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut out = Vec::with_capacity(row.len());
-            for e in row {
-                out.push(e.eval_const()?);
-            }
-            values.push(out);
-        }
+        let values = p
+            .rows
+            .iter()
+            .map(|row| row.iter().map(|e| e.eval(&[], params)).collect())
+            .collect::<Result<Vec<Row>>>()?;
         let mut affected = 0;
         for row in values {
             let key = {
                 let tables = self.db.tables.read();
                 let t = tables
-                    .get(&table)
+                    .get(table)
                     .ok_or_else(|| SqlError::Unknown(format!("table {table}")))?;
                 t.schema().check_row(&row)?;
                 t.schema().key_of(&row)
             };
-            self.lock_write(&table, &key)?;
+            self.lock_write(table, &key)?;
             let rid = {
                 let mut tables = self.db.tables.write();
-                let t = tables.get_mut(&table).expect("checked above");
+                let t = tables.get_mut(table).expect("checked above");
                 t.insert(row)?
             };
             self.undo.push(Undo::Insert {
@@ -998,10 +994,11 @@ impl Transaction {
         })
     }
 
-    fn run_update(&mut self, p: &UpdatePlan) -> Result<ResultSet> {
+    fn run_update(&mut self, p: &UpdatePlan, params: &[SqlValue]) -> Result<ResultSet> {
         let costs = self.db.profile.costs;
         self.charge(costs.per_statement_us);
-        let matched = self.matched_rows(&p.table, &p.filter, &p.path)?;
+        let path = p.path.bind(params)?;
+        let matched = self.matched_rows(&p.table, &p.filter, &path, params)?;
         let mut affected = 0;
         for (rid, old_row) in matched {
             self.lock_write(&p.table, &p.schema.key_of(&old_row))?;
@@ -1014,13 +1011,13 @@ impl Transaction {
             };
             let Some(current) = current else { continue };
             if let Some(f) = &p.filter {
-                if !f.matches(&current)? {
+                if !f.matches(&current, params)? {
                     continue;
                 }
             }
             let mut new_row = current.clone();
             for (ci, e) in &p.sets {
-                new_row[*ci] = e.eval(&current)?;
+                new_row[*ci] = e.eval(&current, params)?;
             }
             {
                 let mut tables = self.db.tables.write();
@@ -1041,10 +1038,11 @@ impl Transaction {
         })
     }
 
-    fn run_delete(&mut self, p: &DeletePlan) -> Result<ResultSet> {
+    fn run_delete(&mut self, p: &DeletePlan, params: &[SqlValue]) -> Result<ResultSet> {
         let costs = self.db.profile.costs;
         self.charge(costs.per_statement_us);
-        let matched = self.matched_rows(&p.table, &p.filter, &p.path)?;
+        let path = p.path.bind(params)?;
+        let matched = self.matched_rows(&p.table, &p.filter, &path, params)?;
         let mut affected = 0;
         for (rid, row) in matched {
             self.lock_write(&p.table, &p.schema.key_of(&row))?;
@@ -1054,7 +1052,7 @@ impl Transaction {
             let still_matches = match (t.get(rid), &p.filter) {
                 (None, _) => false,
                 (Some(_), None) => true,
-                (Some(r), Some(f)) => f.matches(r)?,
+                (Some(r), Some(f)) => f.matches(r, params)?,
             };
             if still_matches {
                 if let Some(old) = t.delete(rid) {
@@ -1310,6 +1308,17 @@ mod tests {
             .unwrap();
         assert!(txn.virtual_cost() > c);
         txn.commit().unwrap();
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_snapshot_blob() {
+        let db = bank();
+        db.execute("CREATE TABLE empty (k INT PRIMARY KEY)")
+            .unwrap();
+        let (blob, rows) = db.snapshot_bytes();
+        assert_eq!(blob, db.snapshot().to_bytes());
+        assert_eq!(rows, 10);
+        assert_eq!(Snapshot::from_bytes(blob).unwrap(), db.snapshot());
     }
 
     #[test]

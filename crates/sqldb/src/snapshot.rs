@@ -90,13 +90,7 @@ impl Snapshot {
     /// the durable on-disk form (WAL snapshots), as opposed to
     /// [`Snapshot::to_batches`]'s wire form for streaming transfer.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        for b in self.to_batches(usize::MAX) {
-            let enc = b.encode();
-            buf.put_u32_le(enc.len() as u32);
-            buf.put_slice(&enc);
-        }
-        buf.freeze()
+        durable_bytes(self.tables.iter().map(|d| (&d.schema, d.rows.iter())))
     }
 
     /// Reassembles a snapshot from a [`Snapshot::to_bytes`] blob.
@@ -155,25 +149,58 @@ pub struct RowBatch {
     pub rows: Vec<Row>,
 }
 
+/// The durable blob of [`Snapshot::to_bytes`], encoded straight from
+/// `(schema, rows)` pairs without copying a row: one length-prefixed
+/// whole-table batch per table, in the given order.
+pub(crate) fn durable_bytes<'a, R>(tables: impl Iterator<Item = (&'a TableSchema, R)>) -> Bytes
+where
+    R: ExactSizeIterator<Item = &'a Row>,
+{
+    let mut buf = BytesMut::new();
+    for (schema, rows) in tables {
+        let at = buf.len();
+        buf.put_u32_le(0);
+        encode_batch(&mut buf, &schema.name, Some(schema), rows);
+        let len = (buf.len() - at - 4) as u32;
+        buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+    buf.freeze()
+}
+
+/// Appends one batch's wire form to `buf`.
+fn encode_batch<'a>(
+    buf: &mut BytesMut,
+    table: &str,
+    schema: Option<&TableSchema>,
+    rows: impl ExactSizeIterator<Item = &'a Row>,
+) {
+    put_str(buf, table);
+    match schema {
+        Some(s) => {
+            buf.put_u8(1);
+            encode_schema(s, buf);
+        }
+        None => buf.put_u8(0),
+    }
+    buf.put_u32_le(rows.len() as u32);
+    for row in rows {
+        buf.put_u16_le(row.len() as u16);
+        for v in row {
+            encode_value(v, buf);
+        }
+    }
+}
+
 impl RowBatch {
     /// Serializes the batch to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        put_str(&mut buf, &self.table);
-        match &self.schema {
-            Some(s) => {
-                buf.put_u8(1);
-                encode_schema(s, &mut buf);
-            }
-            None => buf.put_u8(0),
-        }
-        buf.put_u32_le(self.rows.len() as u32);
-        for row in &self.rows {
-            buf.put_u16_le(row.len() as u16);
-            for v in row {
-                encode_value(v, &mut buf);
-            }
-        }
+        encode_batch(
+            &mut buf,
+            &self.table,
+            self.schema.as_ref(),
+            self.rows.iter(),
+        );
         buf.freeze()
     }
 

@@ -23,18 +23,43 @@ enum Tok {
     Real(f64),
     Str(String),
     Sym(&'static str),
+    /// A placeholder of a statement shape (see [`shape`]), numbered in
+    /// order of appearance.
+    Param(usize),
 }
 
-fn lex(input: &str) -> Result<Vec<Tok>> {
-    let mut out = Vec::new();
+/// One lexeme as the scanner sees it; identifiers borrow the input.
+enum Lexeme<'a> {
+    Ident(&'a str),
+    Int(i64),
+    Real(f64),
+    Str(String),
+    Sym(&'static str),
+    Param,
+}
+
+/// The one SQL scanner: calls `emit` with each lexeme and its byte span.
+/// With `params`, a `?` followed by a type letter (`i`, `r` or `s`, as
+/// [`shape`] writes them) scans as a placeholder; otherwise `?` is an
+/// error, as in any statement text.
+fn scan<'a>(
+    input: &'a str,
+    params: bool,
+    mut emit: impl FnMut(Lexeme<'a>, usize, usize),
+) -> Result<()> {
     let b = input.as_bytes();
     let mut i = 0;
     while i < b.len() {
+        let start = i;
         let c = b[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' | ')' | ',' | '+' | '-' | '*' | '/' | '.' | ';' => {
-                out.push(Tok::Sym(match c {
+        let lexeme = match c {
+            ' ' | '\t' | '\n' | '\r' => {
+                i += 1;
+                continue;
+            }
+            '(' | ')' | ',' | '+' | '-' | '*' | '/' | '.' | ';' | '=' => {
+                i += 1;
+                Lexeme::Sym(match c {
                     '(' => "(",
                     ')' => ")",
                     ',' => ",",
@@ -43,42 +68,25 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                     '*' => "*",
                     '/' => "/",
                     '.' => ".",
+                    '=' => "=",
                     _ => ";",
-                }));
-                i += 1;
+                })
             }
-            '=' => {
-                out.push(Tok::Sym("="));
-                i += 1;
+            '<' | '>' | '!' => {
+                let sym = match (c, b.get(i + 1)) {
+                    ('<', Some(b'=')) => "<=",
+                    ('<', Some(b'>')) | ('!', Some(b'=')) => "<>",
+                    ('>', Some(b'=')) => ">=",
+                    ('<', _) => "<",
+                    ('>', _) => ">",
+                    _ => return Err(SqlError::Parse("stray '!'".into())),
+                };
+                i += if sym.len() == 2 { 2 } else { 1 };
+                Lexeme::Sym(sym)
             }
-            '<' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Sym("<="));
-                    i += 2;
-                } else if b.get(i + 1) == Some(&b'>') {
-                    out.push(Tok::Sym("<>"));
-                    i += 2;
-                } else {
-                    out.push(Tok::Sym("<"));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Sym(">="));
-                    i += 2;
-                } else {
-                    out.push(Tok::Sym(">"));
-                    i += 1;
-                }
-            }
-            '!' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Sym("<>"));
-                    i += 2;
-                } else {
-                    return Err(SqlError::Parse("stray '!'".into()));
-                }
+            '?' if params && matches!(b.get(i + 1), Some(b'i' | b'r' | b's')) => {
+                i += 2;
+                Lexeme::Param
             }
             '\'' => {
                 let mut s = String::new();
@@ -100,40 +108,104 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                         None => return Err(SqlError::Parse("unterminated string".into())),
                     }
                 }
-                out.push(Tok::Str(s));
+                Lexeme::Str(s)
             }
             '0'..='9' => {
-                let start = i;
-                while i < b.len() && (b[i] as char).is_ascii_digit() {
+                while i < b.len() && b[i].is_ascii_digit() {
                     i += 1;
                 }
-                if i < b.len() && b[i] == b'.' && b.get(i + 1).is_some_and(|c| c.is_ascii_digit()) {
+                let real =
+                    i < b.len() && b[i] == b'.' && b.get(i + 1).is_some_and(u8::is_ascii_digit);
+                if real {
                     i += 1;
-                    while i < b.len() && (b[i] as char).is_ascii_digit() {
+                    while i < b.len() && b[i].is_ascii_digit() {
                         i += 1;
                     }
-                    let r: f64 = input[start..i]
-                        .parse()
-                        .map_err(|_| SqlError::Parse(format!("bad number {}", &input[start..i])))?;
-                    out.push(Tok::Real(r));
+                }
+                let text = &input[start..i];
+                let bad = || SqlError::Parse(format!("bad number {text}"));
+                if real {
+                    Lexeme::Real(text.parse().map_err(|_| bad())?)
                 } else {
-                    let n: i64 = input[start..i]
-                        .parse()
-                        .map_err(|_| SqlError::Parse(format!("bad number {}", &input[start..i])))?;
-                    out.push(Tok::Int(n));
+                    Lexeme::Int(text.parse().map_err(|_| bad())?)
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < b.len() && ((b[i] as char).is_ascii_alphanumeric() || b[i] == b'_') {
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                out.push(Tok::Ident(input[start..i].to_lowercase()));
+                Lexeme::Ident(&input[start..i])
             }
             other => return Err(SqlError::Parse(format!("unexpected character {other:?}"))),
-        }
+        };
+        emit(lexeme, start, i);
     }
+    Ok(())
+}
+
+fn lex(input: &str, params: bool) -> Result<Vec<Tok>> {
+    let mut out = Vec::new();
+    let mut n = 0;
+    scan(input, params, |l, _, _| {
+        out.push(match l {
+            Lexeme::Ident(w) => Tok::Ident(w.to_lowercase()),
+            Lexeme::Int(v) => Tok::Int(v),
+            Lexeme::Real(v) => Tok::Real(v),
+            Lexeme::Str(v) => Tok::Str(v),
+            Lexeme::Sym(s) => Tok::Sym(s),
+            Lexeme::Param => {
+                n += 1;
+                Tok::Param(n - 1)
+            }
+        })
+    })?;
     Ok(out)
+}
+
+/// Splits a statement into its *shape* and its literal values, in one
+/// scan: every numeric or string literal in `input` is replaced by a
+/// typed placeholder (`?i`, `?r`, `?s`) in the returned key and its value
+/// is appended to the returned list. Statements that differ only in
+/// their literal values share a key, so the engine parses and plans
+/// each shape once and binds the values per execution.
+///
+/// Structural literals stay in the key: a `LIMIT` count (it sizes the
+/// result, not a predicate) and everything in DDL (`CREATE`/`DROP`).
+///
+/// # Errors
+///
+/// Returns [`SqlError::Parse`] exactly where [`parse`] would fail to lex.
+pub fn shape(input: &str) -> Result<(String, Vec<SqlValue>)> {
+    let mut key = String::with_capacity(input.len());
+    let mut values = Vec::new();
+    let mut copied = 0;
+    let mut ddl = None;
+    let mut after_limit = false;
+    scan(input, false, |l, start, end| {
+        let ddl = *ddl.get_or_insert_with(|| {
+            matches!(l, Lexeme::Ident(w) if w.eq_ignore_ascii_case("create")
+                || w.eq_ignore_ascii_case("drop"))
+        });
+        let limit_count = std::mem::replace(
+            &mut after_limit,
+            matches!(l, Lexeme::Ident(w) if w.eq_ignore_ascii_case("limit")),
+        );
+        if ddl || limit_count {
+            return;
+        }
+        let (marker, v) = match l {
+            Lexeme::Int(v) => ("?i", SqlValue::Int(v)),
+            Lexeme::Real(v) => ("?r", SqlValue::Real(v)),
+            Lexeme::Str(v) => ("?s", SqlValue::Text(v)),
+            _ => return,
+        };
+        key.push_str(&input[copied..start]);
+        key.push_str(marker);
+        values.push(v);
+        copied = end;
+    })?;
+    key.push_str(&input[copied..]);
+    Ok((key, values))
 }
 
 // ---------------------------------------------------------------------------
@@ -147,6 +219,8 @@ pub enum ExprAst {
     Col(String),
     /// Literal value.
     Lit(SqlValue),
+    /// The `i`-th literal value of a statement shape, bound per execution.
+    Param(usize),
     /// Arithmetic.
     Arith(ArithOp, Box<ExprAst>, Box<ExprAst>),
     /// Comparison.
@@ -162,32 +236,32 @@ pub enum ExprAst {
 impl ExprAst {
     /// Resolves column names against a schema.
     pub fn bind(&self, schema: &TableSchema) -> Result<Expr> {
+        self.bind_with(&|name| schema.col(name))
+    }
+
+    /// Binds a schema-free expression (literals, parameters and
+    /// arithmetic only); a column reference is an unknown column.
+    pub fn bind_const(&self) -> Result<Expr> {
+        self.bind_with(&|name| Err(SqlError::Unknown(format!("column {name}"))))
+    }
+
+    fn bind_with(&self, col: &dyn Fn(&str) -> Result<usize>) -> Result<Expr> {
+        let b = |e: &ExprAst| e.bind_with(col).map(Box::new);
         Ok(match self {
-            ExprAst::Col(name) => Expr::Col(schema.col(name)?),
+            ExprAst::Col(name) => Expr::Col(col(name)?),
             ExprAst::Lit(v) => Expr::Lit(v.clone()),
-            ExprAst::Arith(op, a, b) => {
-                Expr::Arith(*op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
-            }
-            ExprAst::Cmp(op, a, b) => {
-                Expr::Cmp(*op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
-            }
-            ExprAst::And(a, b) => Expr::And(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
-            ExprAst::Or(a, b) => Expr::Or(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
-            ExprAst::Not(a) => Expr::Not(Box::new(a.bind(schema)?)),
+            ExprAst::Param(i) => Expr::Param(*i),
+            ExprAst::Arith(op, x, y) => Expr::Arith(*op, b(x)?, b(y)?),
+            ExprAst::Cmp(op, x, y) => Expr::Cmp(*op, b(x)?, b(y)?),
+            ExprAst::And(x, y) => Expr::And(b(x)?, b(y)?),
+            ExprAst::Or(x, y) => Expr::Or(b(x)?, b(y)?),
+            ExprAst::Not(x) => Expr::Not(b(x)?),
         })
     }
 
     /// Evaluates a schema-free expression (literals and arithmetic only).
     pub fn eval_const(&self) -> Result<SqlValue> {
-        self.bind(&TableSchema::new(
-            "const",
-            vec![Column {
-                name: "dummy".into(),
-                dtype: DataType::Int,
-            }],
-            vec![0],
-        )?)
-        .and_then(|e| e.eval(&[]))
+        self.bind_const()?.eval(&[], &[])
     }
 }
 
@@ -290,7 +364,21 @@ pub enum Statement {
 ///
 /// Returns [`SqlError::Parse`] on any lexical or grammatical problem.
 pub fn parse(input: &str) -> Result<Statement> {
-    let toks = lex(input)?;
+    parse_tokens(lex(input, false)?)
+}
+
+/// Parses a statement shape produced by [`shape`]: each placeholder
+/// becomes [`ExprAst::Param`], numbered in order of appearance, which is
+/// the order of the values [`shape`] returned.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_shape(key: &str) -> Result<Statement> {
+    parse_tokens(lex(key, true)?)
+}
+
+fn parse_tokens(toks: Vec<Tok>) -> Result<Statement> {
     let mut p = Parser { toks, pos: 0 };
     let stmt = p.statement()?;
     p.eat_sym(";").ok();
@@ -696,6 +784,7 @@ impl Parser {
             Tok::Int(n) => Ok(ExprAst::Lit(SqlValue::Int(n))),
             Tok::Real(r) => Ok(ExprAst::Lit(SqlValue::Real(r))),
             Tok::Str(s) => Ok(ExprAst::Lit(SqlValue::Text(s))),
+            Tok::Param(i) => Ok(ExprAst::Param(i)),
             Tok::Ident(w) if w == "null" => Ok(ExprAst::Lit(SqlValue::Null)),
             Tok::Ident(w) => Ok(ExprAst::Col(w)),
             Tok::Sym("(") => {
@@ -859,6 +948,67 @@ mod tests {
             parse("SELECT a FROM t extra junk"),
             Err(SqlError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn shape_replaces_literals_with_typed_placeholders() {
+        let (key, vals) =
+            shape("SELECT a FROM t WHERE a = -12 AND b > 2.50 AND c <> 'it''s' LIMIT 7").unwrap();
+        assert_eq!(
+            key,
+            "SELECT a FROM t WHERE a = -?i AND b > ?r AND c <> ?s LIMIT 7"
+        );
+        assert_eq!(
+            vals,
+            vec![
+                SqlValue::Int(12),
+                SqlValue::Real(2.5),
+                SqlValue::from("it's")
+            ]
+        );
+        // Statements differing only in their literals share a key…
+        let (other, _) =
+            shape("SELECT a FROM t WHERE a = -3 AND b > 0.1 AND c <> 'x' LIMIT 7").unwrap();
+        assert_eq!(other, key);
+        // …but not across literal types, LIMIT counts, or NULL.
+        for sql in [
+            "SELECT a FROM t WHERE a = -3.0 AND b > 0.1 AND c <> 'x' LIMIT 7",
+            "SELECT a FROM t WHERE a = -3 AND b > 0.1 AND c <> 'x' LIMIT 8",
+            "SELECT a FROM t WHERE a = -3 AND b > NULL AND c <> 'x' LIMIT 7",
+        ] {
+            assert_ne!(shape(sql).unwrap().0, key, "{sql}");
+        }
+    }
+
+    #[test]
+    fn shape_keeps_ddl_literal_and_parses_back() {
+        let ddl = "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(16))";
+        assert_eq!(shape(ddl).unwrap(), (ddl.to_string(), vec![]));
+        // Keywords inside string literals never reach the key.
+        let sql = "INSERT INTO t VALUES (1, 'select * from t where ?i'), (2+3, 'b')";
+        let (key, vals) = shape(sql).unwrap();
+        assert_eq!(key, "INSERT INTO t VALUES (?i, ?s), (?i+?i, ?s)");
+        assert_eq!(vals.len(), 5);
+        let Statement::Insert { rows, .. } = parse_shape(&key).unwrap() else {
+            panic!("not an insert")
+        };
+        assert_eq!(rows[1][0], {
+            let p = |i| Box::new(ExprAst::Param(i));
+            ExprAst::Arith(ArithOp::Add, p(2), p(3))
+        });
+    }
+
+    #[test]
+    fn shape_fails_where_parse_fails_to_lex() {
+        for sql in [
+            "SELECT a FROM t WHERE a = ?i",
+            "SELECT a FROM t WHERE a = 'open",
+            "SELECT a FROM t WHERE a = 99999999999999999999",
+            "SELECT a FROM t WHERE a ! 1",
+        ] {
+            assert!(matches!(shape(sql), Err(SqlError::Parse(_))), "{sql}");
+            assert_eq!(shape(sql).unwrap_err(), parse(sql).unwrap_err(), "{sql}");
+        }
     }
 
     #[test]

@@ -5,29 +5,79 @@ use crate::schema::TableSchema;
 use crate::value::{Row, SqlValue};
 use crate::{Result, SqlError};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 /// Identifies a row within its table for the lifetime of the table.
 pub type RowId = u64;
 
-/// A resolved access path: *which* index a predicate probes and with what
-/// key. Depends only on the schema and the set of indexes — never on row
-/// data — so a cached path stays valid across DML and needs recomputing
-/// only after DDL.
+/// An access path: *which* index a predicate probes and with what key.
+///
+/// The planner ([`Table::plan_path`]) produces an `AccessPath<Expr>`
+/// whose key parts are the predicate's operands — literals or statement
+/// parameters. That choice depends only on the schema, the set of indexes
+/// and the statement's shape — never on row data or bound values — so a
+/// cached path stays valid across DML and needs recomputing only after
+/// DDL. [`AccessPath::bind`] fills in the values for one execution,
+/// giving the `AccessPath<SqlValue>` that [`Table::candidates_via`] runs.
 #[derive(Clone, Debug, PartialEq)]
-pub enum AccessPath {
+pub enum AccessPath<K = SqlValue> {
     /// Point lookup: the full primary key is pinned by equalities.
-    PkPoint(Vec<SqlValue>),
-    /// Range scan over a non-empty primary-key prefix.
-    PkPrefix(Vec<SqlValue>),
+    PkPoint(Vec<K>),
+    /// Range scan over a non-empty primary-key prefix pinned by
+    /// equalities, optionally bounded on the next key column.
+    PkRange {
+        /// The pinned key prefix.
+        prefix: Vec<K>,
+        /// Lower bound on the key column after the prefix.
+        lower: Bound<K>,
+        /// Upper bound on the key column after the prefix.
+        upper: Bound<K>,
+    },
     /// Probe of a secondary index with a fully pinned key.
     Secondary {
         /// Index name (re-resolved by name at execution time).
         index: String,
         /// The pinned key.
-        key: Vec<SqlValue>,
+        key: Vec<K>,
     },
     /// No usable index: walk the heap.
     FullScan,
+}
+
+impl AccessPath<Expr> {
+    /// Evaluates the path's operands with `params` bound.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an operand names a parameter `params` does not supply.
+    pub fn bind(&self, params: &[SqlValue]) -> Result<AccessPath> {
+        let val = |e: &Expr| e.eval(&[], params);
+        let vals = |es: &[Expr]| es.iter().map(val).collect::<Result<Vec<_>>>();
+        let bound = |b: &Bound<Expr>| -> Result<Bound<SqlValue>> {
+            Ok(match b {
+                Bound::Included(e) => Bound::Included(val(e)?),
+                Bound::Excluded(e) => Bound::Excluded(val(e)?),
+                Bound::Unbounded => Bound::Unbounded,
+            })
+        };
+        Ok(match self {
+            AccessPath::PkPoint(key) => AccessPath::PkPoint(vals(key)?),
+            AccessPath::PkRange {
+                prefix,
+                lower,
+                upper,
+            } => AccessPath::PkRange {
+                prefix: vals(prefix)?,
+                lower: bound(lower)?,
+                upper: bound(upper)?,
+            },
+            AccessPath::Secondary { index, key } => AccessPath::Secondary {
+                index: index.clone(),
+                key: vals(key)?,
+            },
+            AccessPath::FullScan => AccessPath::FullScan,
+        })
+    }
 }
 
 /// A secondary index over a subset of columns.
@@ -224,27 +274,33 @@ impl Table {
         self.pk.get(key).copied()
     }
 
-    /// The row ids a predicate may match, using the cheapest access path:
-    /// point lookup on a full primary key, range scan on a key prefix
-    /// (primary or secondary), or a full scan.
-    pub fn candidates(&self, filter: Option<&Expr>) -> Vec<RowId> {
-        self.candidates_via(&self.plan_path(filter))
-    }
-
-    /// Chooses the cheapest access path for a bound predicate. The choice
-    /// depends only on the schema and the index set, so callers may cache
-    /// it across statements and invalidate on DDL.
-    pub fn plan_path(&self, filter: Option<&Expr>) -> AccessPath {
-        if let Some(f) = filter {
-            let prefix = f.pk_prefix(&self.schema);
-            if prefix.len() == self.schema.primary_key.len() {
-                return AccessPath::PkPoint(prefix);
-            }
-            if !prefix.is_empty() {
-                return AccessPath::PkPrefix(prefix);
-            }
-            // Try a secondary index with a fully pinned key prefix.
-            if let Some((idx, key)) = self.secondary_match(f) {
+    /// Chooses the cheapest access path for a bound predicate: a point
+    /// lookup on a full primary key, a range scan on a primary-key prefix
+    /// (bounded on the next key column when the predicate bounds it), a
+    /// secondary-index probe, or a full scan. The choice depends only on
+    /// the schema, the index set and the predicate's shape, so callers may
+    /// cache it across statements and invalidate on DDL.
+    pub fn plan_path(&self, filter: Option<&Expr>) -> AccessPath<Expr> {
+        let Some(f) = filter else {
+            return AccessPath::FullScan;
+        };
+        let pk = &self.schema.primary_key;
+        let prefix = f.pk_prefix(pk);
+        if prefix.len() == pk.len() {
+            return AccessPath::PkPoint(prefix);
+        }
+        if !prefix.is_empty() {
+            let (lower, upper) = f.key_bounds(pk[prefix.len()]);
+            return AccessPath::PkRange {
+                prefix,
+                lower,
+                upper,
+            };
+        }
+        // Try a secondary index with a fully pinned key.
+        for idx in &self.secondary {
+            let key = f.pk_prefix(&idx.columns);
+            if key.len() == idx.columns.len() {
                 return AccessPath::Secondary {
                     index: idx.name.clone(),
                     key,
@@ -254,13 +310,24 @@ impl Table {
         AccessPath::FullScan
     }
 
-    /// Executes a previously chosen access path against current data. An
-    /// index that no longer exists degrades to an empty probe — callers
-    /// invalidate cached paths on DDL before that can be observed.
-    pub fn candidates_via(&self, path: &AccessPath) -> Vec<RowId> {
-        match path {
+    /// Executes a bound access path against current data, returning the
+    /// candidate row ids and whether the cost model charges the probe as
+    /// an index read rather than a heap scan.
+    ///
+    /// The charge follows the path *without* its range bounds: a probe is
+    /// an index read when its key prefix excludes some row (or the table
+    /// is empty). Range bounds cut the rows walked, not the virtual cost,
+    /// so simulated figures do not depend on which bounds the planner
+    /// found. An index that no longer exists degrades to an empty probe —
+    /// callers invalidate cached paths on DDL before that can be observed.
+    pub fn candidates_via(&self, path: &AccessPath) -> (Vec<RowId>, bool) {
+        let rids: Vec<RowId> = match path {
             AccessPath::PkPoint(key) => self.lookup_pk(key).into_iter().collect(),
-            AccessPath::PkPrefix(prefix) => self.pk_prefix_range(prefix),
+            AccessPath::PkRange {
+                prefix,
+                lower,
+                upper,
+            } => self.pk_range(prefix, lower, upper),
             AccessPath::Secondary { index, key } => self
                 .secondary
                 .iter()
@@ -269,37 +336,49 @@ impl Table {
                 .map(|s| s.iter().copied().collect())
                 .unwrap_or_default(),
             AccessPath::FullScan => self.rows.keys().copied().collect(),
-        }
+        };
+        let narrowed = match path {
+            // Keys sharing a prefix are contiguous: the prefix spans the
+            // table iff the first and the last key both carry it.
+            AccessPath::PkRange { prefix, .. } => {
+                let carries = |k: Option<(&Vec<SqlValue>, &RowId)>| {
+                    k.is_some_and(|(k, _)| k.starts_with(prefix))
+                };
+                !(carries(self.pk.first_key_value()) && carries(self.pk.last_key_value()))
+            }
+            _ => rids.len() < self.len(),
+        };
+        (rids, narrowed || self.is_empty())
     }
 
-    /// Rows whose primary key starts with `prefix`.
-    fn pk_prefix_range(&self, prefix: &[SqlValue]) -> Vec<RowId> {
+    /// Rows whose primary key starts with `prefix` and whose next key
+    /// column lies within `lower..upper`, in key order.
+    fn pk_range(
+        &self,
+        prefix: &[SqlValue],
+        lower: &Bound<SqlValue>,
+        upper: &Bound<SqlValue>,
+    ) -> Vec<RowId> {
+        let n = prefix.len();
+        let mut start = prefix.to_vec();
+        if let Bound::Included(v) | Bound::Excluded(v) = lower {
+            start.push(v.clone());
+        }
+        let below_upper = |v: &SqlValue| match upper {
+            Bound::Included(u) => v <= u,
+            Bound::Excluded(u) => v < u,
+            Bound::Unbounded => true,
+        };
         self.pk
-            .range(prefix.to_vec()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
+            .range(start..)
+            .take_while(|(k, _)| k.starts_with(prefix) && below_upper(&k[n]))
+            .skip_while(|(k, _)| matches!(lower, Bound::Excluded(v) if k[n] == *v))
             .map(|(_, rid)| *rid)
             .collect()
     }
 
-    fn secondary_match(&self, f: &Expr) -> Option<(&SecondaryIndex, Vec<SqlValue>)> {
-        // Reuse the pk_prefix machinery by building a pseudo-schema whose
-        // "primary key" is the index's columns.
-        for idx in &self.secondary {
-            let pseudo = TableSchema {
-                name: self.schema.name.clone(),
-                columns: self.schema.columns.clone(),
-                primary_key: idx.columns.clone(),
-            };
-            let prefix = f.pk_prefix(&pseudo);
-            if prefix.len() == idx.columns.len() {
-                return Some((idx, prefix));
-            }
-        }
-        None
-    }
-
     /// Iterates over `(row id, row)` pairs in heap order.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (RowId, &Row)> {
         self.rows.iter().map(|(rid, row)| (*rid, row))
     }
 
@@ -341,6 +420,44 @@ mod tests {
 
     fn row(id: i64, owner: &str, bal: i64) -> Row {
         vec![SqlValue::Int(id), SqlValue::from(owner), SqlValue::Int(bal)]
+    }
+
+    /// The rows the planner's path for `f` probes.
+    fn candidates(t: &Table, f: &Expr) -> Vec<RowId> {
+        t.candidates_via(&t.plan_path(Some(f)).bind(&[]).unwrap()).0
+    }
+
+    fn cmp(op: CmpOp, col: usize, v: i64) -> Expr {
+        Expr::Cmp(
+            op,
+            Box::new(Expr::Col(col)),
+            Box::new(Expr::Lit(SqlValue::Int(v))),
+        )
+    }
+
+    fn and(a: Expr, b: Expr) -> Expr {
+        Expr::And(Box::new(a), Box::new(b))
+    }
+
+    /// `(w, d, id)` keyed table with 2 × 3 × 10 rows, inserted out of key
+    /// order so heap order and key order differ.
+    fn orders() -> Table {
+        let col = |name: &str| Column {
+            name: name.into(),
+            dtype: DataType::Int,
+        };
+        let mut t = Table::new(
+            TableSchema::new("orders", vec![col("w"), col("d"), col("id")], vec![0, 1, 2]).unwrap(),
+        );
+        for id in (0..10).rev() {
+            for w in 0..2 {
+                for d in 0..3 {
+                    t.insert(vec![SqlValue::Int(w), SqlValue::Int(d), SqlValue::Int(id)])
+                        .unwrap();
+                }
+            }
+        }
+        t
     }
 
     #[test]
@@ -389,15 +506,15 @@ mod tests {
             Box::new(Expr::Col(1)),
             Box::new(Expr::Lit(SqlValue::from("even"))),
         );
-        assert_eq!(t.candidates(Some(&f)).len(), 5);
+        assert_eq!(candidates(&t, &f).len(), 5);
         // Update moves a row between index keys.
         let rid = t.lookup_pk(&[SqlValue::Int(0)]).unwrap();
         t.update(rid, row(0, "odd", 0)).unwrap();
-        assert_eq!(t.candidates(Some(&f)).len(), 4);
+        assert_eq!(candidates(&t, &f).len(), 4);
         // Delete removes from the index.
         let rid2 = t.lookup_pk(&[SqlValue::Int(2)]).unwrap();
         t.delete(rid2);
-        assert_eq!(t.candidates(Some(&f)).len(), 3);
+        assert_eq!(candidates(&t, &f).len(), 3);
     }
 
     #[test]
@@ -411,7 +528,7 @@ mod tests {
             Box::new(Expr::Col(0)),
             Box::new(Expr::Lit(SqlValue::Int(42))),
         );
-        let c = t.candidates(Some(&f));
+        let c = candidates(&t, &f);
         assert_eq!(c.len(), 1);
         assert_eq!(t.get(c[0]).unwrap()[0], SqlValue::Int(42));
     }
@@ -460,7 +577,71 @@ mod tests {
                 Box::new(Expr::Lit(SqlValue::Int(2))),
             )),
         );
-        assert_eq!(t.candidates(Some(&f)).len(), 4);
+        assert_eq!(candidates(&t, &f).len(), 4);
+    }
+
+    #[test]
+    fn pk_range_path_agrees_with_full_scan_for_every_bound_kind() {
+        let t = orders();
+        let prefix = and(cmp(CmpOp::Eq, 0, 1), cmp(CmpOp::Eq, 1, 2));
+        let matching = |f: &Expr, rids: Vec<RowId>| -> Vec<RowId> {
+            let mut out: Vec<RowId> = rids
+                .into_iter()
+                .filter(|&r| f.matches(t.get(r).unwrap(), &[]).unwrap())
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        let scan = t.candidates_via(&AccessPath::FullScan).0;
+        for op in [CmpOp::Ge, CmpOp::Gt, CmpOp::Le, CmpOp::Lt] {
+            for v in [-1, 0, 4, 9, 10] {
+                // Both operand sides: `id op v` and `v op' id`.
+                let flipped = Expr::Cmp(
+                    op.flipped(),
+                    Box::new(Expr::Lit(SqlValue::Int(v))),
+                    Box::new(Expr::Col(2)),
+                );
+                for bound in [cmp(op, 2, v), flipped] {
+                    let f = and(prefix.clone(), bound);
+                    let path = t.plan_path(Some(&f));
+                    assert!(matches!(path, AccessPath::PkRange { .. }), "{path:?}");
+                    let probed = candidates(&t, &f);
+                    // The range is exact: every probed row matches.
+                    assert_eq!(matching(&f, probed.clone()).len(), probed.len(), "{f:?}");
+                    assert_eq!(matching(&f, probed), matching(&f, scan.clone()), "{f:?}");
+                }
+            }
+        }
+        // Two-sided: 3 <= id < 7 → 4 rows, walked in key order.
+        let f = and(
+            and(prefix.clone(), cmp(CmpOp::Ge, 2, 3)),
+            cmp(CmpOp::Lt, 2, 7),
+        );
+        let ids: Vec<SqlValue> = candidates(&t, &f)
+            .into_iter()
+            .map(|r| t.get(r).unwrap()[2].clone())
+            .collect();
+        assert_eq!(ids, (3..7).map(SqlValue::Int).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn range_bounds_do_not_change_the_cost_class() {
+        let t = orders();
+        // A prefix that excludes rows is charged as an index read, bounded
+        // or not…
+        let f = and(cmp(CmpOp::Eq, 0, 1), cmp(CmpOp::Ge, 1, 2));
+        let bound = t.plan_path(Some(&f)).bind(&[]).unwrap();
+        assert!(t.candidates_via(&bound).1);
+        // …and a prefix covering every row is charged as a scan even when
+        // its bound cuts the walk down to nothing.
+        let mut one_w = Table::new(t.schema().clone());
+        for (_, row) in t.iter().filter(|(_, r)| r[0] == SqlValue::Int(0)) {
+            one_w.insert(row.clone()).unwrap();
+        }
+        let f = and(cmp(CmpOp::Eq, 0, 0), cmp(CmpOp::Gt, 1, 5));
+        let (rids, narrowed) = one_w.candidates_via(&one_w.plan_path(Some(&f)).bind(&[]).unwrap());
+        assert!(rids.is_empty());
+        assert!(!narrowed);
     }
 
     #[test]
@@ -479,14 +660,14 @@ mod tests {
         assert_eq!(before, AccessPath::FullScan);
         // …and stays valid (same candidates) across DML.
         t.insert(row(9, "x", 0)).unwrap();
-        assert_eq!(t.candidates_via(&before).len(), 5);
+        assert_eq!(t.candidates_via(&before.bind(&[]).unwrap()).0.len(), 5);
         // A new index changes the chosen path; the *old* path still
         // executes (it is the cache's job to refresh it).
         t.create_index("by_owner", &["owner".into()]).unwrap();
         let after = t.plan_path(Some(&f));
         assert!(matches!(after, AccessPath::Secondary { .. }));
-        assert_eq!(t.candidates_via(&after).len(), 5);
-        assert_eq!(t.candidates_via(&before).len(), 5);
+        assert_eq!(t.candidates_via(&after.bind(&[]).unwrap()).0.len(), 5);
+        assert_eq!(t.candidates_via(&before.bind(&[]).unwrap()).0.len(), 5);
     }
 
     #[test]

@@ -83,8 +83,33 @@ enum Backend {
     /// because the harness keeps the [`Disk`] handle across restart.
     Mem,
     /// Real files under `dir`: commit is `write + sync_all`, snapshot
-    /// install is write-tmp + atomic rename.
+    /// install is write-tmp + fsync + atomic rename + directory fsync.
     File { dir: PathBuf },
+}
+
+/// Fsyncs a directory, making the entries created or renamed in it
+/// durable (a file's own fsync does not cover its name).
+fn sync_dir(dir: &std::path::Path) {
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .expect("wal dir sync");
+}
+
+/// Durably replaces `dir/name` with `parts`, concatenated: writes and
+/// fsyncs `dir/tmp`, renames it over `name`, and fsyncs `dir`, so once
+/// this returns the new contents survive power loss and a crash at any
+/// point leaves either the old file or the new one.
+fn replace_file(dir: &std::path::Path, tmp: &str, name: &str, parts: &[&[u8]]) {
+    use std::io::Write;
+    let r = std::fs::File::create(dir.join(tmp)).and_then(|mut f| {
+        for part in parts {
+            f.write_all(part)?;
+        }
+        f.sync_all()
+    });
+    r.expect("wal tmp write");
+    std::fs::rename(dir.join(tmp), dir.join(name)).expect("wal rename");
+    sync_dir(dir);
 }
 
 struct DiskInner {
@@ -151,7 +176,14 @@ impl Disk {
             StorageMode::Virtual => (Backend::Mem, Vec::new(), None, fsync_cost),
             StorageMode::File { root } => {
                 let dir = root.join(name);
-                std::fs::create_dir_all(&dir).expect("wal dir");
+                if !dir.exists() {
+                    // First creation: make the new directory and its
+                    // (empty) log durable before a commit relies on them.
+                    std::fs::create_dir_all(&dir).expect("wal dir");
+                    std::fs::File::create(dir.join(LOG_FILE)).expect("wal log create");
+                    sync_dir(&dir);
+                    sync_dir(root);
+                }
                 let synced = std::fs::read(dir.join(LOG_FILE)).unwrap_or_default();
                 let snapshot = std::fs::read(dir.join(SNAP_FILE))
                     .ok()
@@ -242,12 +274,12 @@ impl Disk {
     }
 }
 
-fn encode_snapshot_file(index: i64, blob: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + blob.len());
-    out.extend_from_slice(&index.to_le_bytes());
-    out.extend_from_slice(&checksum(blob).to_le_bytes());
-    out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-    out.extend_from_slice(blob);
+/// The snapshot file's header; the blob follows it.
+fn snapshot_file_header(index: i64, blob: &[u8]) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    out[0..8].copy_from_slice(&index.to_le_bytes());
+    out[8..12].copy_from_slice(&checksum(blob).to_le_bytes());
+    out[12..16].copy_from_slice(&(blob.len() as u32).to_le_bytes());
     out
 }
 
@@ -392,14 +424,16 @@ impl Wal {
 
     /// Installs a snapshot covering everything through `index` and
     /// truncates the log to the records above it. On the file backend the
-    /// snapshot lands via write-tmp + atomic rename, then the log is
-    /// rewritten — a crash between the two leaves the new snapshot with
-    /// stale low records, which recovery skips by index. Returns the
-    /// modeled cost (one sync).
+    /// snapshot lands via write-tmp + fsync + atomic rename + directory
+    /// fsync, then the log is replaced the same way — so the truncated log
+    /// is never durable ahead of the snapshot that covers what it drops,
+    /// and a crash between the two leaves the new snapshot with stale low
+    /// records, which recovery skips by index. Returns the modeled cost
+    /// (one sync).
     pub fn save_snapshot(&mut self, index: i64, blob: &Value) -> Duration {
         self.scratch.clear();
         encode_value(blob, &mut self.scratch);
-        let blob_bytes = self.scratch.to_vec();
+        let blob_bytes = std::mem::take(&mut self.scratch).freeze();
         let mut d = self.disk.inner.lock();
         // Records above the snapshot point survive truncation; the
         // unsynced tail is promoted first so nothing appended in this
@@ -418,13 +452,13 @@ impl Wal {
             log.extend_from_slice(&frame);
         }
         if let Backend::File { dir } = &d.backend {
-            let snap = encode_snapshot_file(index, &blob_bytes);
-            std::fs::write(dir.join(SNAP_TMP), &snap).expect("snap tmp write");
-            std::fs::rename(dir.join(SNAP_TMP), dir.join(SNAP_FILE)).expect("snap rename");
-            std::fs::write(dir.join(LOG_TMP), &log).expect("log tmp write");
-            std::fs::rename(dir.join(LOG_TMP), dir.join(LOG_FILE)).expect("log rename");
+            // The snapshot is durable before the log that drops its
+            // records replaces the old one.
+            let header = snapshot_file_header(index, &blob_bytes);
+            replace_file(dir, SNAP_TMP, SNAP_FILE, &[&header, &blob_bytes]);
+            replace_file(dir, LOG_TMP, LOG_FILE, &[&log]);
         }
-        d.snapshot = Some((index, Bytes::from(blob_bytes)));
+        d.snapshot = Some((index, blob_bytes));
         d.synced = log;
         d.syncs += 1;
         d.fsync_cost

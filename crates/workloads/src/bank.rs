@@ -5,10 +5,11 @@
 //! deposit money on a randomly selected account. Rows are 16 bytes in
 //! length and the database contains 50,000 rows."
 
+use crate::txn::Session;
 use crate::txn::{TxnOutcome, TxnRequest};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use shadowdb_sqldb::{Database, SqlError, SqlValue, Transaction};
+use shadowdb_sqldb::{Database, SqlError, SqlValue};
 
 /// The paper's row count.
 pub const DEFAULT_ROWS: usize = 50_000;
@@ -100,7 +101,7 @@ pub fn deposit(db: &Database, account: i64, amount: i64) -> Result<TxnOutcome, S
 /// The deposit body, for an already-open transaction (group apply).
 /// The reported cost is the virtual time this procedure added to `txn`.
 pub fn deposit_in(
-    txn: &mut Transaction,
+    txn: &mut impl Session,
     account: i64,
     amount: i64,
 ) -> Result<TxnOutcome, SqlError> {
@@ -137,7 +138,7 @@ pub fn transfer(db: &Database, from: i64, to: i64, amount: i64) -> Result<TxnOut
 
 /// The transfer body, for an already-open transaction (group apply).
 pub fn transfer_in(
-    txn: &mut Transaction,
+    txn: &mut impl Session,
     from: i64,
     to: i64,
     amount: i64,
@@ -161,7 +162,7 @@ pub fn read_balance(db: &Database, account: i64) -> Result<TxnOutcome, SqlError>
 }
 
 /// The read body, for an already-open transaction (group apply).
-pub fn read_balance_in(txn: &mut Transaction, account: i64) -> Result<TxnOutcome, SqlError> {
+pub fn read_balance_in(txn: &mut impl Session, account: i64) -> Result<TxnOutcome, SqlError> {
     let start = txn.virtual_cost();
     let rs = txn.query(&format!(
         "SELECT balance FROM accounts WHERE id = {account}"

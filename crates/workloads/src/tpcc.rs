@@ -24,11 +24,12 @@
 //! loaded identically on every shard, which keeps the invalid-item
 //! rollback (and hence the 2PC vote) deterministic everywhere.
 
+use crate::txn::Session;
 use crate::txn::TxnOutcome;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use shadowdb_eventml::Value;
-use shadowdb_sqldb::{Database, SqlError, SqlValue, Transaction};
+use shadowdb_sqldb::{Database, SqlError, SqlValue};
 
 /// Sizing of a TPC-C database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -404,7 +405,7 @@ impl TpccTxn {
     ///
     /// Infrastructure failures only; spec-mandated rollbacks return
     /// `committed: false`.
-    pub fn apply_in(&self, txn: &mut Transaction) -> Result<TxnOutcome, SqlError> {
+    pub fn apply_in(&self, txn: &mut impl Session) -> Result<TxnOutcome, SqlError> {
         match self {
             TpccTxn::NewOrder {
                 warehouse,
@@ -640,7 +641,7 @@ fn restock(qty: i64, sold: i64) -> i64 {
 /// absent and the update is skipped — the supplying shard's
 /// [`TpccTxn::RemoteStock`] part applies it there. Returns whether the row
 /// was present.
-fn update_stock(txn: &mut Transaction, w: i64, line: &OrderLine) -> Result<bool, SqlError> {
+fn update_stock(txn: &mut impl Session, w: i64, line: &OrderLine) -> Result<bool, SqlError> {
     let sw = line.supply_w;
     let Some(qty) = one_int(&txn.query(&format!(
         "SELECT s_quantity FROM stock WHERE s_w_id = {sw} AND s_i_id = {}",
@@ -670,7 +671,7 @@ fn update_stock(txn: &mut Transaction, w: i64, line: &OrderLine) -> Result<bool,
 }
 
 fn new_order(
-    txn: &mut Transaction,
+    txn: &mut impl Session,
     w: i64,
     d: i64,
     c: i64,
@@ -733,7 +734,7 @@ fn new_order(
 }
 
 fn remote_stock(
-    txn: &mut Transaction,
+    txn: &mut impl Session,
     home: i64,
     lines: &[OrderLine],
 ) -> Result<TxnOutcome, SqlError> {
@@ -765,7 +766,7 @@ fn remote_stock(
 }
 
 fn payment(
-    txn: &mut Transaction,
+    txn: &mut impl Session,
     w: i64,
     d: i64,
     c: i64,
@@ -803,7 +804,7 @@ fn payment(
 }
 
 fn remote_pay(
-    txn: &mut Transaction,
+    txn: &mut impl Session,
     w: i64,
     d: i64,
     c: i64,
@@ -826,7 +827,7 @@ fn remote_pay(
     })
 }
 
-fn order_status(txn: &mut Transaction, w: i64, d: i64, c: i64) -> Result<TxnOutcome, SqlError> {
+fn order_status(txn: &mut impl Session, w: i64, d: i64, c: i64) -> Result<TxnOutcome, SqlError> {
     let start = txn.virtual_cost();
     let bal = one_real(&txn.query(&format!(
         "SELECT c_balance FROM customer WHERE c_w_id = {w} AND c_d_id = {d} AND c_id = {c}"
@@ -853,7 +854,7 @@ fn order_status(txn: &mut Transaction, w: i64, d: i64, c: i64) -> Result<TxnOutc
     })
 }
 
-fn delivery(txn: &mut Transaction, w: i64, carrier: i64) -> Result<TxnOutcome, SqlError> {
+fn delivery(txn: &mut impl Session, w: i64, carrier: i64) -> Result<TxnOutcome, SqlError> {
     let start = txn.virtual_cost();
     let districts =
         one_int(&txn.query(&format!("SELECT COUNT(*) FROM district WHERE d_w_id = {w}"))?)
@@ -899,7 +900,7 @@ fn delivery(txn: &mut Transaction, w: i64, carrier: i64) -> Result<TxnOutcome, S
 }
 
 fn stock_level(
-    txn: &mut Transaction,
+    txn: &mut impl Session,
     w: i64,
     d: i64,
     threshold: i64,

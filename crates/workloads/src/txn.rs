@@ -2,8 +2,60 @@
 
 use crate::{bank, shard, tpcc};
 use shadowdb_eventml::Value;
-use shadowdb_sqldb::{Database, SqlError, SqlValue, Transaction};
+use shadowdb_sqldb::{Database, ResultSet, SqlError, SqlValue, Transaction};
 use std::time::Duration;
+
+/// The statement interface stored procedures run against. The system
+/// runs them on an engine [`Transaction`]; tests wrap one to replay the
+/// same procedures through a different execution path.
+pub trait Session {
+    /// Executes one statement (see [`Transaction::execute`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Transaction::execute`].
+    fn execute(&mut self, sql: &str) -> Result<ResultSet, SqlError>;
+
+    /// Executes a `SELECT` (an alias of [`Session::execute`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Transaction::execute`].
+    fn query(&mut self, sql: &str) -> Result<ResultSet, SqlError> {
+        self.execute(sql)
+    }
+
+    /// Virtual CPU time consumed so far.
+    fn virtual_cost(&self) -> Duration;
+
+    /// Marks the current undo position (see [`Transaction::savepoint`]).
+    fn savepoint(&self) -> usize;
+
+    /// Undoes the work after savepoint `sp`, keeping the transaction open.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transaction::rollback_to`].
+    fn rollback_to(&mut self, sp: usize) -> Result<(), SqlError>;
+}
+
+impl Session for Transaction {
+    fn execute(&mut self, sql: &str) -> Result<ResultSet, SqlError> {
+        Transaction::execute(self, sql)
+    }
+
+    fn virtual_cost(&self) -> Duration {
+        Transaction::virtual_cost(self)
+    }
+
+    fn savepoint(&self) -> usize {
+        Transaction::savepoint(self)
+    }
+
+    fn rollback_to(&mut self, sp: usize) -> Result<(), SqlError> {
+        Transaction::rollback_to(self, sp)
+    }
+}
 
 /// A transaction submitted by a client: type plus parameters.
 ///
@@ -153,7 +205,7 @@ impl TxnRequest {
     ///
     /// Infrastructure errors are returned; the transaction must then be
     /// considered dead (the engine rolls back on lock timeouts).
-    pub fn apply_in(&self, txn: &mut Transaction) -> Result<TxnOutcome, SqlError> {
+    pub fn apply_in(&self, txn: &mut impl Session) -> Result<TxnOutcome, SqlError> {
         match self {
             TxnRequest::BankDeposit { account, amount } => bank::deposit_in(txn, *account, *amount),
             TxnRequest::BankRead { account } => bank::read_balance_in(txn, *account),
@@ -380,6 +432,71 @@ mod tests {
             );
         }
         tpcc::check_consistency(&group_db).unwrap();
+    }
+
+    /// Routes every statement around the plan cache.
+    struct Uncached<'a>(&'a mut Transaction);
+
+    impl Session for Uncached<'_> {
+        fn execute(&mut self, sql: &str) -> Result<ResultSet, SqlError> {
+            self.0.execute_uncached(sql)
+        }
+        fn virtual_cost(&self) -> Duration {
+            self.0.virtual_cost()
+        }
+        fn savepoint(&self) -> usize {
+            self.0.savepoint()
+        }
+        fn rollback_to(&mut self, sp: usize) -> Result<(), SqlError> {
+            self.0.rollback_to(sp)
+        }
+    }
+
+    #[test]
+    fn cached_group_apply_matches_uncached_replay() {
+        let mk = || {
+            let db = Database::new(EngineProfile::h2());
+            tpcc::load(&db, &TpccScale::small(), 4).unwrap();
+            db
+        };
+        // Four more terminals' seeded streams (terminal 1 is
+        // `mixed_batch`'s), interleaved after the forced mid-group abort: every transaction type, Stock-Level's order-line
+        // range scan included, with ids and amounts that differ per call.
+        let mut gens: Vec<tpcc::TpccGen> = (2..=5)
+            .map(|t| tpcc::TpccGen::new(29, TpccScale::small(), t))
+            .collect();
+        let mut reqs = mixed_batch();
+        for i in 0..320 {
+            reqs.push(TxnRequest::Tpcc(gens[i % 4].next_txn()));
+        }
+        assert!(reqs
+            .iter()
+            .any(|r| matches!(r, TxnRequest::Tpcc(TpccTxn::StockLevel { .. }))));
+
+        let cached = mk();
+        let uncached = mk();
+        let mut at = 0;
+        for size in (1..=7).cycle() {
+            if at >= reqs.len() {
+                break;
+            }
+            let group: Vec<&TxnRequest> = reqs[at..(at + size).min(reqs.len())].iter().collect();
+            at += group.len();
+            let got: Vec<TxnOutcome> = apply_group(&cached, &group)
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            let mut txn = uncached.begin().unwrap();
+            let want: Vec<TxnOutcome> = group
+                .iter()
+                .map(|r| r.apply_in(&mut Uncached(&mut txn)).unwrap())
+                .collect();
+            txn.commit().unwrap();
+            // Answers, commit decisions and virtual costs, request by request.
+            assert_eq!(got, want, "group ending at request {at}");
+        }
+        assert_eq!(cached.snapshot(), uncached.snapshot());
+        tpcc::check_consistency(&cached).unwrap();
     }
 
     #[test]
