@@ -10,12 +10,17 @@
 //!
 //! # Architecture
 //!
-//! * N sharded executor threads (thread-per-core, `loc % shards`) each
-//!   run a readiness event loop over a std-only poller (epoll on Linux,
-//!   `poll(2)` elsewhere). A shard owns its locations' listeners, every
-//!   inbound connection to them, the hosted processes with their timer
-//!   heaps, and the hosts' outbound links — there are no per-node or
-//!   per-connection threads.
+//! * Locations are partitioned over N shards (`loc % shards`). A shard
+//!   is state: a std-only poller (epoll on Linux, `poll(2)` elsewhere),
+//!   its locations' listeners, every inbound connection to them, the
+//!   hosted processes with their timer heaps, and the hosts' outbound
+//!   links — there are no per-node or per-connection threads.
+//! * A driver thread is CPU: each of the N drivers runs one or more
+//!   shards' readiness loops. Mostly idle drivers merge their shards onto
+//!   one thread (nested epoll) and park, so messages between shards stop
+//!   waking a second core; a busy driver splits a shard back to its home
+//!   thread. [`TcpNet::loop_stats`] shows the current placement. The
+//!   `poll(2)` fallback cannot nest and keeps one driver per shard.
 //! * The receive path is allocation-free in steady state: sockets read
 //!   directly into each connection's reassembly buffer and decoded
 //!   message bodies are zero-copy `Bytes`/string views of that buffer
@@ -37,8 +42,8 @@
 //!   to a client port travel over a socket like any other message.
 //!
 //! [`TcpNet::shutdown`] joins deterministically: the control thread
-//! first, then every shard (woken by its command pipe); each shard drops
-//! its sockets on exit.
+//! first, then every driver thread, running or parked; the shards'
+//! sockets close with whichever driver holds them.
 //!
 //! # Example
 //!
@@ -60,6 +65,7 @@
 //! net.shutdown();
 //! ```
 
+mod driver;
 mod link;
 mod node;
 mod poll;
@@ -67,13 +73,15 @@ mod registry;
 mod shard;
 
 use crossbeam::channel::{self, Receiver, Sender};
+use driver::Plane;
 use link::Injector;
 use registry::{Registry, SlotInfo};
 use shadowdb_eventml::{Msg, Process};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::{FaultPlan, PortRx, Runtime, StorageMode};
-use shard::{spawn_shard, ShardCmd, ShardHandle};
+use shard::{new_shard, ShardCmd, ShardHandle};
 
+pub use driver::LoopStats;
 pub use link::{OutQueue, PENDING_CAP};
 pub use registry::LinkStats;
 
@@ -140,14 +148,15 @@ impl TcpNetBuilder {
         self
     }
 
-    /// Overrides the shard (executor thread) count; defaults to the
-    /// machine's available parallelism, clamped to `1..=8`.
+    /// Overrides the shard count, which is also the most driver threads
+    /// the net runs at once; defaults to the machine's available
+    /// parallelism, clamped to `1..=8`.
     pub fn shards(mut self, n: usize) -> TcpNetBuilder {
         self.shards = Some(n.max(1));
         self
     }
 
-    /// Starts the shard event loops and the control thread.
+    /// Starts the driver threads, one per shard, and the control thread.
     pub fn spawn(self) -> TcpNet {
         let shards = self.shards.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -158,12 +167,13 @@ impl TcpNetBuilder {
         let start = Instant::now();
         let registry = Registry::new(start, self.seed);
         let mut handles = Vec::with_capacity(shards);
-        let mut joins = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (handle, join) = spawn_shard(registry.clone());
+        let mut homes = Vec::with_capacity(shards);
+        for id in 0..shards {
+            let (handle, shard) = new_shard(id, registry.clone());
+            homes.push((shard, handle.waker()));
             handles.push(handle);
-            joins.push(join);
         }
+        let (plane, joins) = Plane::spawn(registry.clone(), homes);
         let shard_handles = Arc::new(handles);
         let (ctl_tx, ctl_rx) = channel::unbounded::<Ctl>();
         let ctl_handle = {
@@ -175,7 +185,8 @@ impl TcpNetBuilder {
             start,
             registry,
             shards: shard_handles,
-            shard_joins: joins,
+            plane,
+            driver_joins: joins,
             ctl: ctl_tx,
             ctl_handle: Some(ctl_handle),
             storage_root: StorageMode::fresh_file_root("tcpnet"),
@@ -188,7 +199,8 @@ pub struct TcpNet {
     start: Instant,
     registry: Arc<Registry>,
     shards: Arc<Vec<ShardHandle>>,
-    shard_joins: Vec<JoinHandle<()>>,
+    plane: Arc<Plane>,
+    driver_joins: Vec<JoinHandle<()>>,
     ctl: Sender<Ctl>,
     ctl_handle: Option<JoinHandle<()>>,
     storage_root: std::path::PathBuf,
@@ -303,6 +315,13 @@ impl TcpNet {
         self.registry.faults.stats()
     }
 
+    /// Snapshot of the event-loop plane: running drivers, shards per
+    /// driver, merges, splits, and each driver's busy fraction over its
+    /// last window.
+    pub fn loop_stats(&self) -> LoopStats {
+        self.plane.stats()
+    }
+
     /// Creates an external mailbox at the next location, backed by its own
     /// loopback listener: messages sent to it cross a socket and land in
     /// the returned receiver.
@@ -318,7 +337,7 @@ impl TcpNet {
     }
 
     /// Stops every thread and waits for all of them: the control thread
-    /// first, then every shard event loop.
+    /// first, then every driver thread, running or parked.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -328,12 +347,9 @@ impl TcpNet {
         if let Some(h) = self.ctl_handle.take() {
             let _ = h.join();
         }
-        // Stop link connect retries, then the shard loops themselves.
-        self.registry.shutdown.store(true, Ordering::SeqCst);
-        for shard in self.shards.iter() {
-            shard.send(ShardCmd::Shutdown);
-        }
-        for h in self.shard_joins.drain(..) {
+        // Stop hand-offs and link connect retries, then the drivers.
+        self.plane.shutdown();
+        for h in self.driver_joins.drain(..) {
             let _ = h.join();
         }
         // Scratch durable storage dies with the instance (it only exists
@@ -752,6 +768,173 @@ mod tests {
             Value::Int(1)
         );
         net.shutdown();
+    }
+
+    use std::sync::atomic::AtomicBool;
+
+    /// A node that bounces every `ball` to `peer`: after the ball's delay
+    /// in milliseconds (`Int` body), or at once for 0, until `stop`.
+    fn bouncer(peer: Loc, stop: Arc<AtomicBool>) -> Box<dyn Process> {
+        Box::new(FnProcess::new((), move |_s, _c: &Ctx, m: &Msg| {
+            if stop.load(Ordering::Relaxed) {
+                return vec![];
+            }
+            let delay = Duration::from_millis(m.body.int() as u64);
+            vec![SendInstr::after(delay, peer, m.clone())]
+        }))
+    }
+
+    fn wait_for(net: &TcpNet, what: &str, ok: impl Fn(&LoopStats) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !ok(&net.loop_stats()) {
+            assert!(Instant::now() < deadline, "{what}: {}", net.loop_stats());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn force(net: &TcpNet, mode: u8) {
+        net.plane.force.store(mode, Ordering::Relaxed);
+    }
+
+    /// Two shards under a light ping-pong between them end up on one
+    /// driver thread; a saturating pipelined exchange splits them back
+    /// onto two.
+    #[test]
+    fn idle_shards_merge_and_busy_ones_split() {
+        let mut net = TcpNet::builder().shards(2).spawn();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (a, b) = (Loc::new(0), Loc::new(1));
+        net.add_node(bouncer(b, stop.clone()));
+        net.add_node(bouncer(a, stop.clone()));
+        net.send(a, Msg::new("ball", Value::Int(5)));
+        wait_for(&net, "light traffic merges", |s| {
+            s.active_drivers == 1 && s.merges >= 1
+        });
+        assert_eq!(net.loop_stats().shards_per_driver, vec![2, 0]);
+
+        for _ in 0..64 {
+            net.send(a, Msg::new("ball", Value::Int(0)));
+        }
+        wait_for(&net, "saturation splits", |s| {
+            s.active_drivers == 2 && s.splits >= 1
+        });
+        stop.store(true, Ordering::Relaxed);
+        net.shutdown();
+    }
+
+    /// A sequence-numbered stream between nodes on different shards
+    /// arrives complete, in order and once, while the shards are merged
+    /// and split every few milliseconds.
+    #[test]
+    fn fifo_and_exactly_once_across_merges_and_splits() {
+        const N: i64 = 20_000;
+        const BURST: i64 = 40;
+        let mut net = TcpNet::builder().shards(2).spawn();
+        force(&net, driver::force::CHURN);
+        let (src, relay) = (Loc::new(0), Loc::new(1));
+        // The source sends a burst to the relay, then again 1 ms later.
+        net.add_node(Box::new(FnProcess::new(
+            0i64,
+            move |next, ctx: &Ctx, _m: &Msg| {
+                let mut out = Vec::new();
+                let end = (*next + BURST).min(N);
+                while *next < end {
+                    out.push(SendInstr::now(relay, Msg::new("seq", Value::Int(*next))));
+                    *next += 1;
+                }
+                if *next < N {
+                    out.push(SendInstr::after(
+                        Duration::from_millis(1),
+                        ctx.slf,
+                        Msg::new("tick", Value::Unit),
+                    ));
+                }
+                out
+            },
+        )));
+        // The relay forwards everything to the port (shard 0 again).
+        let port_loc = Loc::new(2);
+        net.add_node(Box::new(FnProcess::new(
+            (),
+            move |_s, _c: &Ctx, m: &Msg| vec![SendInstr::now(port_loc, m.clone())],
+        )));
+        let (port, rx) = TcpNet::port(&mut net);
+        assert_eq!(port, port_loc);
+        net.send(src, Msg::new("tick", Value::Unit));
+        for i in 0..N {
+            let m = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("seq {i} lost: {}", net.loop_stats()));
+            assert_eq!(m.body, Value::Int(i), "stream reordered or duplicated");
+        }
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "stream delivered a frame twice"
+        );
+        let stats = net.loop_stats();
+        assert!(stats.merges >= 3 && stats.splits >= 3, "{stats}");
+        net.shutdown();
+    }
+
+    /// Crash, restart and shutdown reach a shard while another driver
+    /// thread runs it, and shutdown joins the parked home thread.
+    #[test]
+    fn crash_restart_and_shutdown_reach_a_moved_shard() {
+        for _ in 0..3 {
+            let mut net = TcpNet::builder().shards(2).spawn();
+            force(&net, driver::force::MERGE);
+            wait_for(&net, "forced merge", |s| s.shards_per_driver == [2, 0]);
+            let (_, node) = (net.add_node(echo_counter()), net.add_node(echo_counter()));
+            assert_eq!(node.index() % 2, 1, "the node lives on the moved shard");
+            let (port, rx) = TcpNet::port(&mut net);
+            net.send(node, Msg::new("ping", Value::Loc(port)));
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(5)).unwrap().body,
+                Value::Int(1)
+            );
+            net.crash_at(VTime::ZERO, node);
+            std::thread::sleep(Duration::from_millis(50));
+            net.send(node, Msg::new("ping", Value::Loc(port)));
+            assert!(
+                rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "crashed node must stay silent"
+            );
+            net.restart_at(VTime::ZERO, node, echo_counter());
+            std::thread::sleep(Duration::from_millis(50));
+            net.send(node, Msg::new("ping", Value::Loc(port)));
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(5)).unwrap().body,
+                Value::Int(1),
+                "a fresh incarnation answers"
+            );
+            assert_eq!(net.loop_stats().shards_per_driver, vec![2, 0]);
+
+            // Shutdown joins both drivers, the parked one included.
+            let (done_tx, done_rx) = channel::unbounded();
+            std::thread::spawn(move || {
+                net.shutdown();
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("shutdown joins a parked driver");
+        }
+    }
+
+    /// The summary line the TCP failover example prints.
+    #[test]
+    fn loop_stats_line_reads_plainly() {
+        let stats = LoopStats {
+            active_drivers: 1,
+            shards_per_driver: vec![2, 0],
+            merges: 3,
+            splits: 2,
+            busy: vec![0.25, 0.0],
+        };
+        assert_eq!(
+            stats.to_string(),
+            "1/2 drivers active, shards per driver [2, 0], 3 merges, 2 splits, busy [0.25, 0.00]"
+        );
     }
 
     #[cfg(target_os = "linux")]

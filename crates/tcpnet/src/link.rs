@@ -221,6 +221,9 @@ pub struct OutLink {
     /// queue frames; the shard flushes every dirty link once per loop
     /// iteration, so a burst of sends leaves in one `writev`.
     pub dirty: bool,
+    /// Whether the link is on its shard's parked list: frames are queued
+    /// but no connection or write readiness will move them on its own.
+    pub parked: bool,
     /// Earliest instant the next connection attempt is permitted.
     pub next_attempt: Instant,
     /// Consecutive failed connection attempts (the backoff exponent).
@@ -241,6 +244,7 @@ impl OutLink {
             token: None,
             write_armed: false,
             dirty: false,
+            parked: false,
             next_attempt: Instant::now(),
             attempts: 0,
             ever_connected: false,

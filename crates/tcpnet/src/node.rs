@@ -22,6 +22,8 @@ pub struct NodeHost {
     pub process: Box<dyn Process>,
     /// Zero-delay self-sends, drained by the shard loop between polls.
     pub inbox: VecDeque<Msg>,
+    /// Whether the host is on its shard's list of inboxes to drain.
+    pub inbox_listed: bool,
     /// Outbound links by destination location.
     pub links: HashMap<u32, OutLink>,
     /// Per-connection scratch encoder: steady-state sends allocate
@@ -37,6 +39,7 @@ impl NodeHost {
             epoch,
             process,
             inbox: VecDeque::new(),
+            inbox_listed: false,
             links: HashMap::new(),
             enc: FrameEncoder::new(),
         }

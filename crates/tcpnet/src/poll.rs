@@ -3,9 +3,15 @@
 //! shard event loops need are declared directly.
 //!
 //! Semantics are level-triggered on both backends: an event for a token
-//! keeps firing while the condition holds, so the loop reads until
-//! `WouldBlock` and only registers write interest while an output queue
+//! keeps firing while the condition holds, so a reader may stop after a
+//! short read and only registers write interest while an output queue
 //! is nonempty.
+//!
+//! An epoll poller can itself be watched by another ([`Poller::nest`]):
+//! the inner poller reads as readable while it holds ready events. That is
+//! how one driver thread blocks on several shards at once. `poll(2)` has
+//! no pollable handle, so the fallback backend cannot nest
+//! ([`Poller::CAN_NEST`] is false) and each of its shards keeps a thread.
 
 use std::io;
 use std::os::raw::c_int;
@@ -93,6 +99,9 @@ mod imp {
     }
 
     impl Poller {
+        /// An epoll instance is itself pollable.
+        pub const CAN_NEST: bool = true;
+
         pub fn new() -> io::Result<Poller> {
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
@@ -145,6 +154,12 @@ mod imp {
             } else {
                 Ok(())
             }
+        }
+
+        /// Watches `inner` under `token`: this poller reports `token`
+        /// readable while `inner` has ready events (level-triggered).
+        pub fn nest(&mut self, inner: &Poller, token: usize) -> io::Result<()> {
+            self.register(inner.epfd, token, Interest::READ)
         }
 
         pub fn wait(
@@ -227,11 +242,18 @@ mod imp {
     }
 
     impl Poller {
+        /// `poll(2)` has no pollable handle to wait on.
+        pub const CAN_NEST: bool = false;
+
         pub fn new() -> io::Result<Poller> {
             Ok(Poller {
                 fds: Vec::new(),
                 tokens: Vec::new(),
             })
+        }
+
+        pub fn nest(&mut self, _inner: &Poller, _token: usize) -> io::Result<()> {
+            Err(io::ErrorKind::Unsupported.into())
         }
 
         fn events_of(interest: Interest) -> c_short {
@@ -384,5 +406,41 @@ mod tests {
             .wait(Some(Duration::from_millis(10)), &mut events)
             .unwrap();
         assert!(events.is_empty());
+    }
+
+    /// A nested poller reports its token while the inner one has ready
+    /// events, and goes quiet once they are drained.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn nested_poller_reports_inner_readiness() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        b.set_nonblocking(true).unwrap();
+        let mut inner = Poller::new().unwrap();
+        inner.register(b.as_raw_fd(), 3, Interest::READ).unwrap();
+        let mut outer = Poller::new().unwrap();
+        outer.nest(&inner, 9).unwrap();
+
+        let mut events = Vec::new();
+        outer
+            .wait(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
+        assert!(events.is_empty(), "inner has nothing ready");
+
+        a.write_all(b"x").unwrap();
+        outer
+            .wait(Some(Duration::from_millis(1000)), &mut events)
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 9 && e.readable));
+        events.clear();
+        inner.wait(Some(Duration::ZERO), &mut events).unwrap();
+        assert!(events.iter().any(|e| e.token == 3 && e.readable));
+
+        let mut buf = [0u8; 8];
+        assert_eq!((&b).read(&mut buf).unwrap(), 1);
+        events.clear();
+        outer
+            .wait(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
+        assert!(events.is_empty(), "drained inner must go quiet");
     }
 }

@@ -1,17 +1,19 @@
-//! The shard event loops: N per-core executor threads, each owning a
-//! partition of the net's locations (`loc % shards`). A shard's poller
-//! watches its listeners, every inbound connection to its locations, a
-//! wake pipe for commands, and any outbound link currently blocked on
-//! write readiness. Node timer heaps run off the same loop — there are no
-//! per-node or per-connection threads anywhere.
+//! The shards: each owns a fixed partition of the net's locations
+//! (`loc % shards`). A shard's poller watches its listeners, every inbound
+//! connection to its locations, a wake pipe for commands, and any
+//! outbound link currently blocked on write readiness. Node timer heaps
+//! run off the same loop — there are no per-node or per-connection
+//! threads anywhere. A shard is state, not a thread: the driver threads
+//! (`driver.rs`) run one or more shards each and move whole shards
+//! between them.
 //!
 //! Delivery is inline: a frame decoded off an inbound connection steps
 //! the destination process on the spot (the connection was accepted by
 //! the destination's own shard), and the sends that step produces are
-//! written nonblocking before the loop returns to the poller. The decoded
-//! message bodies are zero-copy views of the connection's reassembly
-//! buffer (`FrameReader`), so the receive path allocates nothing in
-//! steady state.
+//! written nonblocking right after the event batch. The decoded message
+//! bodies are zero-copy views of the connection's reassembly buffer
+//! (`FrameReader`), so the receive path allocates nothing in steady
+//! state.
 
 use crate::link::{try_connect, OutLink};
 use crate::node::NodeHost;
@@ -29,7 +31,6 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The wake pipe's poller token; every other token comes from the
@@ -46,7 +47,7 @@ const READ_BUDGET: usize = 256 * 1024;
 const INBOX_BUDGET: usize = 256;
 /// The loop's idle tick: pending links retry and heal within this bound,
 /// matching the threaded runtime's cadence.
-const TICK: Duration = Duration::from_millis(20);
+pub(crate) const TICK: Duration = Duration::from_millis(20);
 
 /// What a shard can be told to do. Crash and restart are not inbox
 /// messages: a crash *removes the host* (volatile state, pending timers,
@@ -75,40 +76,56 @@ pub enum ShardCmd {
     Crash(u32),
     /// Install a fresh incarnation at `loc` (no-op for unknown locs).
     Restart(u32, Box<dyn Process>),
-    /// Exit the shard thread.
-    Shutdown,
 }
 
 /// The sending half of a shard: enqueue a command, then poke the wake
-/// pipe so a sleeping poller returns immediately.
+/// pipe so whichever thread drives the shard returns from its wait.
 pub struct ShardHandle {
     tx: Sender<ShardCmd>,
-    wake: UnixStream,
+    wake: Waker,
 }
 
 impl ShardHandle {
-    /// Delivers `cmd` to the shard thread.
+    /// Delivers `cmd` to the shard, wherever it is driven.
     pub fn send(&self, cmd: ShardCmd) {
         let _ = self.tx.send(cmd);
-        // A full pipe means a wake is already pending — dropping the
-        // byte is fine.
-        let _ = (&self.wake).write(&[1u8]);
+        self.wake.wake();
+    }
+
+    /// A second handle on the shard's wake pipe.
+    pub fn waker(&self) -> Waker {
+        self.wake.try_clone()
     }
 }
 
-/// Spawns one shard thread; the returned handle feeds it commands.
-pub fn spawn_shard(registry: Arc<Registry>) -> (ShardHandle, JoinHandle<()>) {
+/// The writing end of a shard's wake pipe: makes the shard's poller — and
+/// any driver poller it is nested in — ready.
+pub struct Waker(UnixStream);
+
+impl Waker {
+    /// Pokes the pipe. A full pipe means a wake is already pending, so
+    /// dropping the byte is fine.
+    pub fn wake(&self) {
+        let _ = (&self.0).write(&[1u8]);
+    }
+
+    fn try_clone(&self) -> Waker {
+        Waker(self.0.try_clone().expect("clone wake pipe"))
+    }
+}
+
+/// A new shard `id` and the handle that feeds it commands.
+pub fn new_shard(id: usize, registry: Arc<Registry>) -> (ShardHandle, Shard) {
     let (cmd_tx, cmd_rx) = channel::unbounded::<ShardCmd>();
     let (wake_tx, wake_rx) = UnixStream::pair().expect("wake pipe");
     wake_tx.set_nonblocking(true).expect("nonblocking wake");
     wake_rx.set_nonblocking(true).expect("nonblocking wake");
-    let handle = std::thread::spawn(move || Shard::new(registry, wake_rx, cmd_rx).run());
     (
         ShardHandle {
             tx: cmd_tx,
-            wake: wake_tx,
+            wake: Waker(wake_tx),
         },
-        handle,
+        Shard::new(id, registry, wake_rx, cmd_rx),
     )
 }
 
@@ -161,9 +178,16 @@ impl Ord for TimerDue {
     }
 }
 
-struct Shard {
+/// One partition of the net's locations and everything they own. The
+/// thread driving a shard calls [`Shard::prepare`], waits (on
+/// [`Shard::poller`] directly or through a driver poller it is nested in)
+/// and then [`Shard::dispatch`]es, once per turn.
+pub struct Shard {
+    /// The shard's index; also the index of its home driver thread.
+    pub id: usize,
     registry: Arc<Registry>,
-    poller: Poller,
+    /// Watches every fd the shard owns.
+    pub poller: Poller,
     wake_rx: UnixStream,
     cmds: Receiver<ShardCmd>,
     tokens: HashMap<usize, Token>,
@@ -177,23 +201,33 @@ struct Shard {
     epochs: HashMap<u32, u64>,
     timers: BinaryHeap<TimerDue>,
     timer_seq: u64,
-    /// Links with frames queued this iteration, flushed once before the
-    /// next poll so a burst of sends leaves in one `writev` instead of a
+    /// Links with frames queued this iteration, flushed once after the
+    /// event batch so a burst of sends leaves in one `writev` instead of a
     /// syscall per message.
     dirty: Vec<(u32, u32)>,
+    /// Links whose frames are waiting for a connection: backoff, an
+    /// unknown destination, or a fault-plane cut. Retried every turn.
+    parked: Vec<(u32, u32)>,
+    /// Hosts with zero-delay self-sends left in their inbox.
+    inboxed: Vec<u32>,
     /// Reused step-output scratch.
     outs: Vec<SendInstr>,
     events: Vec<PollEvent>,
-    stop: bool,
 }
 
 impl Shard {
-    fn new(registry: Arc<Registry>, wake_rx: UnixStream, cmds: Receiver<ShardCmd>) -> Shard {
+    fn new(
+        id: usize,
+        registry: Arc<Registry>,
+        wake_rx: UnixStream,
+        cmds: Receiver<ShardCmd>,
+    ) -> Shard {
         let mut poller = Poller::new().expect("poller");
         poller
             .register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)
             .expect("register wake");
         Shard {
+            id,
             registry,
             poller,
             wake_rx,
@@ -208,35 +242,42 @@ impl Shard {
             timers: BinaryHeap::new(),
             timer_seq: 0,
             dirty: Vec::new(),
+            parked: Vec::new(),
+            inboxed: Vec::new(),
             outs: Vec::new(),
             events: Vec::new(),
-            stop: false,
         }
     }
 
-    fn run(mut self) {
-        loop {
-            while let Ok(cmd) = self.cmds.try_recv() {
-                self.handle_cmd(cmd);
-            }
-            if self.stop {
-                return;
-            }
-            self.fire_timers();
-            self.drain_inboxes();
-            self.tick_links();
-            // Everything queued since the last poll — decoded deliveries,
-            // timer fires, inbox drains — leaves now, batched per link.
-            self.flush_dirty();
-            let timeout = self.poll_timeout();
-            let mut events = std::mem::take(&mut self.events);
-            events.clear();
-            let _ = self.poller.wait(Some(timeout), &mut events);
-            for ev in &events {
-                self.handle_event(*ev);
-            }
-            self.events = events;
+    /// The work due before the next wait: commands, due timers,
+    /// zero-delay self-sends and parked links, then one flush of what
+    /// they queued.
+    pub fn prepare(&mut self) {
+        while let Ok(cmd) = self.cmds.try_recv() {
+            self.handle_cmd(cmd);
         }
+        self.fire_timers();
+        self.drain_inboxes();
+        self.retry_parked();
+        self.flush_dirty();
+    }
+
+    /// Waits on the shard's own poller for at most `timeout`; the events
+    /// are handled by [`Shard::dispatch`].
+    pub fn wait(&mut self, timeout: Duration) {
+        self.events.clear();
+        let _ = self.poller.wait(Some(timeout), &mut self.events);
+    }
+
+    /// Handles the events of the last [`Shard::wait`], then flushes every
+    /// link they queued frames on.
+    pub fn dispatch(&mut self) {
+        let events = std::mem::take(&mut self.events);
+        for ev in &events {
+            self.handle_event(*ev);
+        }
+        self.events = events;
+        self.flush_dirty();
     }
 
     fn now_v(&self) -> VTime {
@@ -286,7 +327,6 @@ impl Shard {
                 self.hosts
                     .insert(loc, NodeHost::new(Loc::new(loc), epoch, process));
             }
-            ShardCmd::Shutdown => self.stop = true,
         }
     }
 
@@ -329,7 +369,7 @@ impl Shard {
             };
             if host.epoch == t.epoch {
                 if t.dest == host.slf {
-                    host.inbox.push_back(t.msg);
+                    self.push_inbox(&mut host, t.msg);
                 } else {
                     self.link_send(&mut host, t.dest, &t.msg, vnow);
                 }
@@ -338,21 +378,27 @@ impl Shard {
         }
     }
 
+    /// Queues a zero-delay self-send and lists the host for draining.
+    fn push_inbox(&mut self, host: &mut NodeHost, msg: Msg) {
+        host.inbox.push_back(msg);
+        if !host.inbox_listed {
+            host.inbox_listed = true;
+            self.inboxed.push(host.slf.index());
+        }
+    }
+
     fn drain_inboxes(&mut self) {
-        let locs: Vec<u32> = self
-            .hosts
-            .iter()
-            .filter(|(_, h)| !h.inbox.is_empty())
-            .map(|(l, _)| *l)
-            .collect();
-        if locs.is_empty() {
+        if self.inboxed.is_empty() {
             return;
         }
         let now = self.now_v();
-        for loc in locs {
+        for loc in std::mem::take(&mut self.inboxed) {
+            // A crashed host's entry is stale; a restarted one has a
+            // fresh, empty inbox.
             let Some(mut host) = self.hosts.remove(&loc) else {
                 continue;
             };
+            host.inbox_listed = false;
             let mut budget = INBOX_BUDGET;
             while budget > 0 {
                 let Some(m) = host.inbox.pop_front() else {
@@ -361,58 +407,54 @@ impl Shard {
                 self.run_step(&mut host, &m, now);
                 budget -= 1;
             }
-            self.hosts.insert(loc, host);
-        }
-    }
-
-    /// Retries links with parked frames: reconnects (respecting the
-    /// seeded backoff) and flushes in FIFO order, skipping links the
-    /// fault plane still holds severed. Cheap when nothing is pending.
-    fn tick_links(&mut self) {
-        let locs: Vec<u32> = self
-            .hosts
-            .iter()
-            .filter(|(_, h)| h.links.values().any(|l| !l.queue.is_empty()))
-            .map(|(l, _)| *l)
-            .collect();
-        if locs.is_empty() {
-            return;
-        }
-        let now = self.now_v();
-        let plan = self.fault_plan();
-        for loc in locs {
-            let Some(mut host) = self.hosts.remove(&loc) else {
-                continue;
-            };
-            let dests: Vec<u32> = host
-                .links
-                .iter()
-                .filter(|(_, l)| !l.queue.is_empty())
-                .map(|(d, _)| *d)
-                .collect();
-            for d in dests {
-                if let Some(plan) = plan.as_ref() {
-                    if plan.cut(host.slf, Loc::new(d), now) {
-                        continue;
-                    }
-                }
-                let link = host.links.get_mut(&d).expect("link exists");
-                flush_link(
-                    &mut self.poller,
-                    &mut self.tokens,
-                    &mut self.next_token,
-                    &self.registry,
-                    loc,
-                    d,
-                    link,
-                );
+            if !host.inbox.is_empty() && !host.inbox_listed {
+                host.inbox_listed = true;
+                self.inboxed.push(loc);
             }
             self.hosts.insert(loc, host);
         }
     }
 
-    fn poll_timeout(&self) -> Duration {
-        if self.hosts.values().any(|h| !h.inbox.is_empty()) {
+    /// Retries the links with parked frames: reconnects (respecting the
+    /// seeded backoff) and flushes in FIFO order, skipping links the
+    /// fault plane still holds severed. Costs nothing when none is
+    /// parked.
+    fn retry_parked(&mut self) {
+        if self.parked.is_empty() {
+            return;
+        }
+        let now = self.now_v();
+        let plan = self.fault_plan();
+        for (origin, dest) in std::mem::take(&mut self.parked) {
+            let Some(mut host) = self.hosts.remove(&origin) else {
+                continue;
+            };
+            if let Some(link) = host.links.get_mut(&dest) {
+                link.parked = false;
+                let cut = plan
+                    .as_ref()
+                    .is_some_and(|p| p.cut(host.slf, Loc::new(dest), now));
+                if !cut {
+                    flush_link(
+                        &mut self.poller,
+                        &mut self.tokens,
+                        &mut self.next_token,
+                        &self.registry,
+                        origin,
+                        dest,
+                        link,
+                    );
+                }
+                park_if_stuck(&mut self.parked, origin, dest, link);
+            }
+            self.hosts.insert(origin, host);
+        }
+    }
+
+    /// How long the next wait may block: not at all while self-sends are
+    /// queued, otherwise until the nearest timer, capped at [`TICK`].
+    pub fn poll_timeout(&self) -> Duration {
+        if !self.inboxed.is_empty() {
             return Duration::ZERO;
         }
         match self.timers.peek() {
@@ -475,14 +517,16 @@ impl Shard {
         self.listeners.insert(token, listener);
     }
 
-    /// Drains one inbound connection until `WouldBlock` (or the read
-    /// budget), decoding frames and delivering each message inline. The
-    /// destination is resolved once for the whole batch — every frame on
-    /// a connection delivers to the same location — so the per-message
-    /// cost is one decode and one process step, no map lookups. A decode
-    /// error means the stream is unsynchronized: the connection is
-    /// dropped (the sender reconnects), the only safe recovery for a
-    /// framed stream.
+    /// Drains one inbound connection until a short read (or the read
+    /// budget), decoding frames and delivering each message inline. A
+    /// short read means the socket is empty: reading again would only
+    /// return `WouldBlock`, and the level-triggered poller reports data
+    /// that arrives later. The destination is resolved once for the whole
+    /// batch — every frame on a connection delivers to the same location
+    /// — so the per-message cost is one decode and one process step, no
+    /// map lookups. A decode error means the stream is unsynchronized:
+    /// the connection is dropped (the sender reconnects), the only safe
+    /// recovery for a framed stream.
     fn read_conn(&mut self, token: usize) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
@@ -499,6 +543,7 @@ impl Shard {
         let mut budget = READ_BUDGET;
         'conn: while budget > 0 {
             let spare = conn.rdr.spare_mut(READ_CHUNK);
+            let asked = spare.len();
             match conn.stream.read(spare) {
                 Ok(0) => {
                     alive = false;
@@ -530,6 +575,9 @@ impl Shard {
                                 break 'conn;
                             }
                         }
+                    }
+                    if n < asked {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -572,7 +620,7 @@ impl Shard {
                     msg,
                 });
             } else if dest == host.slf {
-                host.inbox.push_back(msg);
+                self.push_inbox(host, msg);
             } else {
                 self.link_send(host, dest, &msg, now);
             }
@@ -624,6 +672,7 @@ impl Shard {
                         .frames_dropped
                         .fetch_add(1, Ordering::Relaxed);
                 }
+                park_if_stuck(&mut self.parked, origin.index(), didx, link);
                 return;
             }
             Some(LinkVerdict::Deliver {
@@ -666,8 +715,8 @@ impl Shard {
     }
 
     /// Flushes every link that queued frames this iteration, one `writev`
-    /// burst per link. A link the fault plane severed mid-iteration keeps
-    /// its frames parked — `tick_links` flushes them after heal.
+    /// burst per link. A link the fault plane severed mid-iteration, or
+    /// one that cannot connect yet, is parked for `retry_parked`.
     fn flush_dirty(&mut self) {
         if self.dirty.is_empty() {
             return;
@@ -694,6 +743,7 @@ impl Shard {
                         link,
                     );
                 }
+                park_if_stuck(&mut self.parked, origin, dest, link);
             }
             self.hosts.insert(origin, host);
         }
@@ -731,8 +781,8 @@ impl Shard {
                 }
             }
             if broken {
-                // The reconnect happens on the next send or link tick,
-                // honoring the seeded backoff.
+                // The reconnect happens on the next send or parked-link
+                // retry, honoring the seeded backoff.
                 close_link(&mut self.poller, &mut self.tokens, link);
             } else if ev.writable {
                 flush_link(
@@ -745,8 +795,19 @@ impl Shard {
                     link,
                 );
             }
+            park_if_stuck(&mut self.parked, origin, dest, link);
         }
         self.hosts.insert(origin, host);
+    }
+}
+
+/// Lists a link for retry when it holds frames that neither a connection
+/// nor armed write readiness will move. Write-armed links resume from
+/// their own poller event instead.
+fn park_if_stuck(parked: &mut Vec<(u32, u32)>, origin: u32, dest: u32, link: &mut OutLink) {
+    if !link.parked && !link.write_armed && !link.queue.is_empty() {
+        link.parked = true;
+        parked.push((origin, dest));
     }
 }
 

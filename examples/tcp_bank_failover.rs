@@ -79,6 +79,7 @@ fn main() {
     println!("committed after failover: {}", deployment.committed());
     println!("client retransmissions  : {resends}");
     println!("wall-clock total        : {:?}", t0.elapsed());
+    println!("event loops             : {}", net.loop_stats());
     assert_eq!(
         deployment.committed(),
         clients * txns_per_client,
